@@ -21,11 +21,15 @@ const LOW: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 2);
 
 /// A /24-scoped positive entry whose block is derived from `i`.
 fn scoped_entry(i: u32, now: Instant) -> (Prefix, CacheEntry) {
+    scoped_entry_ttl(i, 3_600, now)
+}
+
+fn scoped_entry_ttl(i: u32, ttl_s: u32, now: Instant) -> (Prefix, CacheEntry) {
     let block = Prefix::new(0x0B00_0000 | (i << 8), 24);
     let entry = CacheEntry::new(
         AnswerBody::Addresses(vec![Ipv4Addr::from(0xCB00_7100 | i)]),
         24,
-        3_600,
+        ttl_s,
         now,
     );
     (block, entry)
@@ -89,6 +93,71 @@ fn bench_cache(c: &mut Criterion) {
             let (block, entry) = scoped_entry(i % 4_096, t0);
             cache.insert(name("popular.cdn.example"), RrType::A, Some(block), entry)
         })
+    });
+}
+
+/// One second of steady-state churn: insert an entry living `ttl_s`
+/// seconds, move the clock one second, reap whatever came due.
+struct Churn {
+    cache: ResolverCache,
+    t0: Instant,
+    tick: u32,
+    ttl_s: u32,
+}
+
+impl Churn {
+    /// A cache bounded at `max_entries`, run for `warm` seconds so it
+    /// sits at its steady-state size.
+    fn warmed(max_entries: usize, ttl_s: u32, warm: u32) -> Churn {
+        let t0 = Instant::now();
+        let cfg = LdnsCacheConfig {
+            max_entries,
+            ..LdnsCacheConfig::default()
+        };
+        let mut churn = Churn {
+            cache: ResolverCache::new(cfg, t0),
+            t0,
+            tick: 0,
+            ttl_s,
+        };
+        for _ in 0..warm {
+            churn.step();
+        }
+        churn
+    }
+
+    fn step(&mut self) -> u64 {
+        self.tick += 1;
+        let now = self.t0 + Duration::from_secs(u64::from(self.tick));
+        // 2¹⁶ blocks: none recurs while an earlier use is still live.
+        let (block, entry) = scoped_entry_ttl(self.tick % (1 << 16), self.ttl_s, now);
+        self.cache
+            .insert(name("popular.cdn.example"), RrType::A, Some(block), entry);
+        self.cache.advance(now)
+    }
+}
+
+fn bench_churn(c: &mut Criterion) {
+    // TTL expiry at `live` resident entries: every step reaps exactly the
+    // entry inserted `live` steps earlier. Per-entry reaping keeps the
+    // two sizes level; a scan of the live set per expiry would not.
+    let mut group = c.benchmark_group("ldns_cache_expire");
+    for live in [1_024u32, 16_384] {
+        let mut churn = Churn::warmed(usize::MAX, live, 2 * live);
+        assert_eq!(churn.cache.len(), live as usize);
+        group.bench_with_input(BenchmarkId::from_parameter(live), &live, |b, _| {
+            b.iter(|| black_box(churn.step()))
+        });
+    }
+    group.finish();
+
+    // The capacity bound: day-long TTLs, so every step evicts the oldest
+    // of 16 384 entries well before anything expires.
+    c.bench_function("ldns_cache_evict_at_capacity", |b| {
+        let mut churn = Churn::warmed(16_384, 86_400, 2 * 16_384);
+        assert_eq!(churn.cache.len(), 16_384);
+        assert!(churn.cache.stats().evictions >= 16_384);
+        b.iter(|| black_box(churn.step()))
     });
 }
 
@@ -176,5 +245,11 @@ fn bench_resolve(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_cache, bench_wheel, bench_resolve);
+criterion_group!(
+    benches,
+    bench_cache,
+    bench_churn,
+    bench_wheel,
+    bench_resolve
+);
 criterion_main!(benches);

@@ -18,17 +18,34 @@
 //!   short fixed TTL (RFC 2308 §7.1) so a dead authoritative is not
 //!   hammered.
 //!
-//! Expiry is driven by the hierarchical [`TimerWheel`](crate::wheel):
-//! every insert arms the entry's key, [`ResolverCache::advance`] reaps
-//! due keys in O(elapsed + expired), and lookups still double-check the
-//! deadline so a stale answer can never leave the resolver even between
-//! advances. The lookup/insert/advance trio is under `lint.toml` hot-fn
-//! discipline like the authd serve path.
+//! # Storage
+//!
+//! Every live entry is one `Slot` of a per-cache slab — the only place
+//! its 256-byte [`DnsName`] is stored. Everything else refers to the
+//! slot by its `u32` id:
+//!
+//! * the **index** maps a 16-byte `IndexKey` — the name's 64-bit hash,
+//!   taken once per call, packed with qtype and scope block — to the
+//!   slot; a hit verifies the full name in the slot, so the RFC 7871
+//!   longest-scope probe never copies or re-hashes a name per length;
+//! * the **capacity FIFO** and the **negative-class FIFO** are intrusive
+//!   `prev`/`next` links through the slots, so eviction pops a head and
+//!   every other removal unlinks in O(1);
+//! * the hierarchical [`TimerWheel`](crate::wheel) carries 8-byte
+//!   handles `(slot, generation)`; freeing or refreshing a slot bumps
+//!   its generation, which is all it takes to disarm the old deadline.
+//!
+//! No operation but [`ResolverCache::clear`] is O(live entries):
+//! [`ResolverCache::advance`] reaps in O(elapsed + expired), and lookups
+//! still double-check the deadline so a stale answer can never leave the
+//! resolver even between advances. The lookup/insert/advance trio is
+//! under `lint.toml` hot-fn discipline like the authd serve path.
 
 use crate::wheel::TimerWheel;
 use eum_dns::{DnsName, Rcode, RrType};
 use eum_geo::Prefix;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::net::Ipv4Addr;
 use std::time::{Duration, Instant};
 
@@ -117,16 +134,6 @@ impl CacheEntry {
     }
 }
 
-/// Cache key: global entries answer any client, scoped entries only
-/// clients inside their block.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CacheKey {
-    /// Scope-0 / no-ECS answers, negatives, failures, and delegations.
-    Global(DnsName, RrType),
-    /// Positive answers partitioned by announced scope block.
-    Scoped(DnsName, RrType, Prefix),
-}
-
 /// Per-cache counters, cumulative over the cache's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LdnsCacheStats {
@@ -178,18 +185,123 @@ impl LdnsCacheStats {
     }
 }
 
+/// "No slot": the end of a list, the head of an empty one.
+const NIL: u32 = u32::MAX;
+/// Which intrusive list: insertion order of every live entry (the
+/// capacity FIFO)…
+const ORDER: usize = 0;
+/// …or of the live negative/failure entries only (the independently
+/// bounded class). Invariant: a slot is on this list iff it is live and
+/// its body is `Negative`/`Failure`.
+const NEG: usize = 1;
+
+/// A slot's place in one list.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+const UNLINKED: Link = Link {
+    prev: NIL,
+    next: NIL,
+};
+
+/// Ends and length of one list threaded through the slots.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: usize,
+}
+
+const EMPTY: Fifo = Fifo {
+    head: NIL,
+    tail: NIL,
+    len: 0,
+};
+
+/// What the index hashes and compares instead of a 256-byte name: the
+/// name's hash (taken once per call) and, packed into one word, the
+/// qtype code, the key class (0: global — scope-0 / no-ECS answers,
+/// negatives, failures, delegations; `1 + len`: a positive answer
+/// partitioned by a scope block of that length) and the block's
+/// address. Two names sharing a 64-bit hash share a key, so a match is
+/// confirmed against the name in the slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct IndexKey {
+    name_hash: u64,
+    rest: u64,
+}
+
+impl IndexKey {
+    fn new(name_hash: u64, qtype: RrType, block: Option<Prefix>) -> IndexKey {
+        let (class, addr) = match block {
+            Some(p) => (1 + u64::from(p.len()), u64::from(p.addr())),
+            None => (0, 0),
+        };
+        IndexKey {
+            name_hash,
+            rest: u64::from(qtype.code()) << 48 | class << 32 | addr,
+        }
+    }
+
+    /// The scope block's length, `None` for a global key.
+    fn scope_len(self) -> Option<usize> {
+        (((self.rest >> 32) & 0xFF) as usize).checked_sub(1)
+    }
+}
+
+/// One arming of one slot on the timer wheel. A handle whose generation
+/// no longer matches its slot's was disarmed — the slot was freed
+/// (perhaps reused since) or its entry refreshed — and fires as a no-op.
+#[derive(Debug, Clone, Copy)]
+struct Handle {
+    slot: u32,
+    generation: u32,
+}
+
+/// One slab slot: a live entry with its key and list links, or a free
+/// slot (stale name, empty `Failure` body) chained through
+/// `links[ORDER].next`.
+#[derive(Debug)]
+struct Slot {
+    name: DnsName,
+    key: IndexKey,
+    entry: CacheEntry,
+    /// Bumped whenever the armed deadline stops applying: on free and on
+    /// in-place refresh. Wraps after 2³² re-arms of one slot, far beyond
+    /// any deadline's stay on the wheel.
+    generation: u32,
+    links: [Link; 2],
+}
+
 /// The ECS-partitioned resolver cache with timer-wheel expiry.
+///
+/// Two corners where keying by name hash and arming by handle show:
+///
+/// * Two names whose 64-bit hashes collide under the same `(qtype,
+///   block)` cannot both be cached: inserting one evicts the other
+///   (counted in `evictions`). The hasher is randomly keyed per cache,
+///   so no fixed pair of names collides, and a lookup never serves one
+///   name's answer for another — the slot's full name is compared.
+/// * A deadline speaks only for the insert that armed it. An entry
+///   re-inserted under a key that expired or was evicted earlier is
+///   never reaped by that earlier life's leftover deadline; it expires
+///   on its own.
 pub struct ResolverCache {
     cfg: LdnsCacheConfig,
-    map: HashMap<CacheKey, CacheEntry>,
-    wheel: TimerWheel<CacheKey>,
-    /// Insertion order for FIFO capacity eviction.
-    order: std::collections::VecDeque<CacheKey>,
-    /// Insertion order of live negative/failure entries only, for the
-    /// independent negative bound. Invariant: a key is here iff its map
-    /// entry exists and its body is `Negative`/`Failure` (maintained on
-    /// every removal and on body-class flips at replacement).
-    neg_order: std::collections::VecDeque<CacheKey>,
+    /// Key → slot. Its randomly keyed hasher also takes the once-per-call
+    /// name hash ([`ResolverCache::name_hash`]).
+    index: HashMap<IndexKey, u32>,
+    slots: Vec<Slot>,
+    /// First free slot, [`NIL`] when the slab has none to reuse.
+    free_head: u32,
+    /// The [`ORDER`] and [`NEG`] lists.
+    fifos: [Fifo; 2],
+    wheel: TimerWheel<Handle>,
+    /// Drain buffer for the wheel, reused across advances.
+    due: Vec<Handle>,
     /// Live scoped-entry count per scope length; lookups probe only
     /// lengths actually present.
     scope_lens: [u32; 33],
@@ -201,10 +313,12 @@ impl ResolverCache {
     pub fn new(cfg: LdnsCacheConfig, now: Instant) -> ResolverCache {
         ResolverCache {
             cfg,
-            map: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free_head: NIL,
+            fifos: [EMPTY; 2],
             wheel: TimerWheel::new(now),
-            order: std::collections::VecDeque::new(),
-            neg_order: std::collections::VecDeque::new(),
+            due: Vec::new(),
             scope_lens: [0; 33],
             stats: LdnsCacheStats::default(),
         }
@@ -215,9 +329,10 @@ impl ResolverCache {
     /// counting across the flush (a flush is an operational event, not a
     /// statistics reset).
     pub fn clear(&mut self, now: Instant) {
-        self.map.clear();
-        self.order.clear();
-        self.neg_order.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.free_head = NIL;
+        self.fifos = [EMPTY; 2];
         self.scope_lens = [0; 33];
         self.wheel = TimerWheel::new(now);
     }
@@ -236,39 +351,28 @@ impl ResolverCache {
         source_prefix: u8,
         now: Instant,
     ) -> Option<&CacheEntry> {
-        let mut hit: Option<CacheKey> = None;
+        let name_hash = self.name_hash(qname);
+        let mut hit = None;
         for len in (1..=source_prefix.min(32)).rev() {
             // lint: allow(serve-index) — len ≤ 32 by the loop bound; the table has 33 slots
             if self.scope_lens[len as usize] == 0 {
                 continue;
             }
-            // DnsName is inline; cloning into a probe key is a flat copy.
-            let key = CacheKey::Scoped(qname.clone(), qtype, Prefix::of(client, len));
-            match self.map.get(&key) {
-                Some(e) if !e.expired(now) => {
-                    hit = Some(key);
-                    break;
-                }
-                Some(_) => self.drop_stale(&key),
-                None => {}
+            let key = IndexKey::new(name_hash, qtype, Some(Prefix::of(client, len)));
+            hit = self.probe(key, qname, now);
+            if hit.is_some() {
+                break;
             }
         }
         if hit.is_none() {
-            let key = CacheKey::Global(qname.clone(), qtype);
-            match self.map.get(&key) {
-                Some(e) if !e.expired(now) => hit = Some(key),
-                Some(_) => self.drop_stale(&key),
-                None => {}
-            }
+            hit = self.probe(IndexKey::new(name_hash, qtype, None), qname, now);
         }
         match hit {
-            Some(key) => {
-                let entry = self.map.get(&key);
-                if let Some(e) = entry {
-                    // lint: allow(serve-index) — scope ≤ 32 by construction; the table has 33 slots
-                    self.stats.hits_by_scope[e.scope.min(32) as usize] += 1;
-                }
-                entry
+            Some(id) => {
+                let scope = self.slot(id).entry.scope;
+                // lint: allow(serve-index) — scope clamped to 32; the table has 33 slots
+                self.stats.hits_by_scope[scope.min(32) as usize] += 1;
+                Some(&self.slot(id).entry)
             }
             None => {
                 self.stats.misses += 1;
@@ -277,10 +381,31 @@ impl ResolverCache {
         }
     }
 
+    /// What [`IndexKey`] carries in place of `qname`.
+    fn name_hash(&self, qname: &DnsName) -> u64 {
+        self.index.hasher().hash_one(qname.wire())
+    }
+
+    /// The slot under `key` when it holds `qname` and is still fresh; an
+    /// expired one is dropped on the spot.
+    fn probe(&mut self, key: IndexKey, qname: &DnsName, now: Instant) -> Option<u32> {
+        let id = *self.index.get(&key)?;
+        let slot = self.slot(id);
+        if slot.name != *qname {
+            return None;
+        }
+        if slot.entry.expired(now) {
+            self.remove(id);
+            self.stats.stale_drops += 1;
+            return None;
+        }
+        Some(id)
+    }
+
     /// Inserts an answer: `scope_block` carries the announced-scope
     /// partition for positive ECS answers; `None` stores a global entry
     /// (scope 0, no ECS, negatives, failures, delegations). The entry's
-    /// key is armed on the timer wheel at its deadline.
+    /// slot is armed on the timer wheel at its deadline.
     pub fn insert(
         &mut self,
         qname: DnsName,
@@ -292,131 +417,200 @@ impl ResolverCache {
         // The negative class is bounded on its own: an NXDOMAIN flood
         // churns this FIFO and only this FIFO.
         if neg {
-            while self.neg_order.len() >= self.cfg.max_negative_entries.max(1) {
-                match self.neg_order.pop_front() {
-                    Some(oldest) => {
-                        if self.map.remove(&oldest).is_some() {
-                            // Not on_removed: negatives are never scoped,
-                            // and the key just left neg_order.
-                            self.order.retain(|k| k != &oldest);
-                            self.stats.negative_evictions += 1;
-                        }
-                    }
-                    None => break,
-                }
+            while self.negative_len() >= self.cfg.max_negative_entries.max(1) {
+                // lint: allow(serve-index) — NEG < 2, the array's length
+                self.remove(self.fifos[NEG].head);
+                self.stats.negative_evictions += 1;
             }
         }
-        while self.map.len() >= self.cfg.max_entries.max(1) {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    if let Some(old) = self.map.remove(&oldest) {
-                        self.on_removed(&oldest, &old);
-                        self.stats.evictions += 1;
-                    }
-                }
-                None => break,
-            }
+        while self.len() >= self.cfg.max_entries.max(1) {
+            // lint: allow(serve-index) — ORDER < 2, the array's length
+            self.remove(self.fifos[ORDER].head);
+            self.stats.evictions += 1;
         }
-        let key = match scope_block {
-            Some(p) => CacheKey::Scoped(qname, qtype, p),
-            None => CacheKey::Global(qname, qtype),
-        };
-        if let CacheKey::Scoped(_, _, p) = &key {
-            // lint: allow(serve-index) — prefix length ≤ 32; the table has 33 slots
-            self.scope_lens[p.len() as usize] += 1;
-        }
-        self.wheel.insert(entry.expires, key.clone());
-        match self.map.insert(key.clone(), entry) {
-            None => {
-                if neg {
-                    self.neg_order.push_back(key.clone());
-                }
-                self.order.push_back(key);
-            }
-            Some(old) => {
-                if let CacheKey::Scoped(_, _, p) = &key {
-                    // Replaced in place: undo the double count.
-                    // lint: allow(serve-index) — prefix length ≤ 32; the table has 33 slots
-                    self.scope_lens[p.len() as usize] -= 1;
-                }
-                // A key flipping answer class (name starts or stops
-                // existing) moves between FIFOs; a same-class refresh
-                // keeps its original position, like `order` does.
-                let was_neg = is_negative(&old);
+        let key = IndexKey::new(self.name_hash(&qname), qtype, scope_block);
+        let expires = entry.expires;
+        let resident = self.index.get(&key).copied();
+        let (id, generation) = match resident {
+            // Replaced in place: the entry keeps its slot and its place
+            // in the capacity FIFO, and moves between classes only when
+            // its answer class flips (a name starting or ceasing to
+            // exist); a same-class refresh keeps that place too.
+            Some(id) if self.slot(id).name == qname => {
+                let slot = self.slot_mut(id);
+                let was_neg = is_negative(&slot.entry);
+                slot.entry = entry;
+                slot.generation = slot.generation.wrapping_add(1);
+                let generation = slot.generation;
                 if was_neg && !neg {
-                    self.neg_order.retain(|k| k != &key);
+                    self.unlink(NEG, id);
                 } else if neg && !was_neg {
-                    self.neg_order.push_back(key);
+                    self.push_back(NEG, id);
                 }
+                (id, generation)
             }
-        }
+            other => {
+                if let Some(collider) = other {
+                    // Another name with the same 64-bit hash holds the
+                    // key; the index has room for one of them.
+                    self.remove(collider);
+                    self.stats.evictions += 1;
+                }
+                let id = self.alloc(qname, key, entry);
+                self.index.insert(key, id);
+                if let Some(len) = key.scope_len() {
+                    // lint: allow(serve-index) — prefix length ≤ 32; the table has 33 slots
+                    self.scope_lens[len] += 1;
+                }
+                self.push_back(ORDER, id);
+                if neg {
+                    self.push_back(NEG, id);
+                }
+                (id, self.slot(id).generation)
+            }
+        };
+        self.wheel.insert(
+            expires,
+            Handle {
+                slot: id,
+                generation,
+            },
+        );
         self.stats.insertions += 1;
     }
 
-    /// Reaps entries whose wheel deadline has passed, using `scratch` as
-    /// the reusable drain buffer. An entry that was refreshed since its
-    /// key was armed is re-armed at its new deadline instead of dropped.
-    /// Returns how many entries actually expired.
-    pub fn advance(&mut self, now: Instant, scratch: &mut Vec<CacheKey>) -> u64 {
-        scratch.clear();
-        self.wheel.advance(now, scratch);
+    /// Reaps entries whose wheel deadline has passed. Returns how many
+    /// entries expired.
+    pub fn advance(&mut self, now: Instant) -> u64 {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        self.wheel.advance(now, &mut due);
         let mut reaped = 0u64;
-        for key in scratch.drain(..) {
-            match self.map.get(&key) {
-                Some(e) if e.expired(now) => {
-                    if let Some(old) = self.map.remove(&key) {
-                        self.on_removed(&key, &old);
-                    }
-                    self.order.retain(|k| k != &key);
-                    reaped += 1;
-                }
-                // Refreshed after arming: fire again at the new deadline.
-                Some(e) => {
-                    let expires = e.expires;
-                    self.wheel.insert(expires, key);
-                }
-                // Already evicted or stale-dropped.
-                None => {}
+        for handle in due.drain(..) {
+            // The wheel rounds deadlines up, so a handle that still speaks
+            // for its slot fires at or after the entry's expiry; any other
+            // was disarmed (evicted, stale-dropped or refreshed since).
+            let armed = self
+                .slots
+                .get(handle.slot as usize)
+                .is_some_and(|s| s.generation == handle.generation);
+            if armed {
+                self.remove(handle.slot);
+                reaped += 1;
             }
         }
+        self.due = due;
         self.stats.expirations += reaped;
         reaped
     }
 
-    /// Drops an entry found expired during a lookup.
-    fn drop_stale(&mut self, key: &CacheKey) {
-        if let Some(old) = self.map.remove(key) {
-            self.on_removed(key, &old);
-            self.order.retain(|k| k != key);
-            self.stats.stale_drops += 1;
+    /// Takes a live entry out of the index, both lists and the scope
+    /// table, disarms its deadline and frees its slot.
+    fn remove(&mut self, id: u32) {
+        let slot = self.slot_mut(id);
+        let key = slot.key;
+        let neg = is_negative(&slot.entry);
+        slot.generation = slot.generation.wrapping_add(1);
+        // Give the addresses back now; the slot itself waits for reuse.
+        slot.entry.body = AnswerBody::Failure;
+        self.index.remove(&key);
+        if let Some(len) = key.scope_len() {
+            // lint: allow(serve-index) — prefix length ≤ 32; the table has 33 slots
+            self.scope_lens[len] -= 1;
         }
+        self.unlink(ORDER, id);
+        if neg {
+            self.unlink(NEG, id);
+        }
+        // lint: allow(serve-index) — ORDER < 2, the array's length
+        self.slot_mut(id).links[ORDER].next = self.free_head;
+        self.free_head = id;
     }
 
-    /// Bookkeeping for an entry just removed from the map: scope-length
-    /// counts and the negative FIFO stay consistent with the map.
-    fn on_removed(&mut self, key: &CacheKey, entry: &CacheEntry) {
-        if let CacheKey::Scoped(_, _, p) = key {
-            // lint: allow(serve-index) — prefix length ≤ 32; the table has 33 slots
-            self.scope_lens[p.len() as usize] -= 1;
+    /// A slot for a new entry: the most recently freed one, else a fresh
+    /// one at the slab's end. A reused slot keeps its generation (bumped
+    /// when it was freed), so handles armed for its past lives stay dead.
+    fn alloc(&mut self, name: DnsName, key: IndexKey, entry: CacheEntry) -> u32 {
+        let mut slot = Slot {
+            name,
+            key,
+            entry,
+            generation: 0,
+            links: [UNLINKED; 2],
+        };
+        let id = self.free_head;
+        if id == NIL {
+            self.slots.push(slot);
+            return (self.slots.len() - 1) as u32;
         }
-        if is_negative(entry) {
-            self.neg_order.retain(|k| k != key);
+        let free = self.slot_mut(id);
+        // lint: allow(serve-index) — ORDER < 2, the array's length
+        let next_free = free.links[ORDER].next;
+        slot.generation = free.generation;
+        *free = slot;
+        self.free_head = next_free;
+        id
+    }
+
+    /// Appends slot `id` to `list` (`ORDER` or `NEG`).
+    // lint: allow(serve-index) — list is ORDER or NEG, both < 2, the arrays' length
+    fn push_back(&mut self, list: usize, id: u32) {
+        let tail = self.fifos[list].tail;
+        self.slot_mut(id).links[list] = Link {
+            prev: tail,
+            next: NIL,
+        };
+        if tail == NIL {
+            self.fifos[list].head = id;
+        } else {
+            self.slot_mut(tail).links[list].next = id;
         }
+        self.fifos[list].tail = id;
+        self.fifos[list].len += 1;
+    }
+
+    /// Takes slot `id` out of `list` (`ORDER` or `NEG`), which it is on.
+    // lint: allow(serve-index) — list is ORDER or NEG, both < 2, the arrays' length
+    fn unlink(&mut self, list: usize, id: u32) {
+        let Link { prev, next } = std::mem::replace(&mut self.slot_mut(id).links[list], UNLINKED);
+        if prev == NIL {
+            self.fifos[list].head = next;
+        } else {
+            self.slot_mut(prev).links[list].next = next;
+        }
+        if next == NIL {
+            self.fifos[list].tail = prev;
+        } else {
+            self.slot_mut(next).links[list].prev = prev;
+        }
+        self.fifos[list].len -= 1;
+    }
+
+    fn slot(&self, id: u32) -> &Slot {
+        // lint: allow(serve-index) — ids come from the index, a list link or a free-list head, which only ever name allocated slots
+        &self.slots[id as usize]
+    }
+
+    fn slot_mut(&mut self, id: u32) -> &mut Slot {
+        // lint: allow(serve-index) — ids come from the index, a list link or a free-list head, which only ever name allocated slots
+        &mut self.slots[id as usize]
     }
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.map.len()
+        // lint: allow(serve-index) — ORDER < 2, the array's length
+        self.fifos[ORDER].len
     }
 
     /// Live negative/failure entries (the independently bounded class).
     pub fn negative_len(&self) -> usize {
-        self.neg_order.len()
+        // lint: allow(serve-index) — NEG < 2, the array's length
+        self.fifos[NEG].len
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Counters so far.
@@ -576,9 +770,8 @@ mod tests {
             None,
             CacheEntry::new(addrs([8, 8, 8, 8]), 0, 500, t0),
         );
-        let mut scratch = Vec::new();
-        assert_eq!(c.advance(t0 + Duration::from_secs(4), &mut scratch), 0);
-        assert_eq!(c.advance(t0 + Duration::from_secs(10), &mut scratch), 1);
+        assert_eq!(c.advance(t0 + Duration::from_secs(4)), 0);
+        assert_eq!(c.advance(t0 + Duration::from_secs(10)), 1);
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().expirations, 1);
     }
@@ -623,8 +816,7 @@ mod tests {
             None,
             CacheEntry::new(addrs([9, 9, 9, 9]), 0, 60, t0 + Duration::from_secs(2)),
         );
-        let mut scratch = Vec::new();
-        assert_eq!(c.advance(t0 + Duration::from_secs(10), &mut scratch), 0);
+        assert_eq!(c.advance(t0 + Duration::from_secs(10)), 0);
         assert!(c
             .lookup(
                 &name("e0.cdn.example"),
@@ -635,7 +827,7 @@ mod tests {
             )
             .is_some());
         // The re-armed deadline still fires.
-        assert_eq!(c.advance(t0 + Duration::from_secs(70), &mut scratch), 1);
+        assert_eq!(c.advance(t0 + Duration::from_secs(70)), 1);
         assert!(c.is_empty());
     }
 
@@ -863,8 +1055,7 @@ mod tests {
             None,
             CacheEntry::new(AnswerBody::Negative(Rcode::NxDomain), 0, 500, t0),
         );
-        let mut scratch = Vec::new();
-        assert_eq!(c.advance(t0 + Duration::from_secs(10), &mut scratch), 1);
+        assert_eq!(c.advance(t0 + Duration::from_secs(10)), 1);
         assert_eq!(c.negative_len(), 1);
         // The freed slot is usable without evicting the survivor.
         c.insert(

@@ -36,7 +36,7 @@ pub mod resolver;
 pub mod telemetry;
 pub mod wheel;
 
-pub use cache::{AnswerBody, CacheEntry, CacheKey, LdnsCacheConfig, LdnsCacheStats, ResolverCache};
+pub use cache::{AnswerBody, CacheEntry, LdnsCacheConfig, LdnsCacheStats, ResolverCache};
 pub use fleet::{FleetReport, PlannedQuery, QueryPlan, ResolverFleet, RunConfig};
 pub use resolver::{EcsPolicy, Ldns, LdnsConfig, LdnsStats, Resolved};
 pub use telemetry::FleetMetrics;

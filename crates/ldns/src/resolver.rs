@@ -17,10 +17,13 @@
 //! per-attempt timeout; exhausted retries and SERVFAILs are negatively
 //! cached (RFC 2308 §7), NXDOMAIN/NODATA honor the SOA minimum (§5).
 
-use crate::cache::{AnswerBody, CacheEntry, CacheKey, LdnsCacheConfig, ResolverCache};
+use crate::cache::{AnswerBody, CacheEntry, LdnsCacheConfig, ResolverCache};
 use eum_authd::ClientTransport;
 use eum_dns::edns::{EcsOption, OptData};
-use eum_dns::{decode_message, encode_message, DnsName, Message, Question, RData, Rcode, RrType};
+use eum_dns::{
+    decode_message_into, encode_message_into, DnsName, Message, Question, RData, Rcode, Record,
+    RrType,
+};
 use eum_geo::Prefix;
 use eum_telemetry::{QueryTrace, TraceHop, TraceOutcome, TraceRing};
 use std::io;
@@ -130,10 +133,19 @@ fn sat32(v: u64) -> u32 {
     v.min(u32::MAX as u64) as u32
 }
 
-/// What one upstream exchange (with retries) produced.
-enum Exchange {
-    Response(Message),
-    Failed,
+/// The upstream leg's buffers, reused across resolutions so a miss
+/// allocates only what it hands on (the transport's reply, the answer's
+/// addresses).
+struct UpstreamScratch {
+    /// The query message, rewritten in place per resolution (its name and
+    /// its OPT record; `DnsName` and a lone ECS option are inline).
+    query: Message,
+    /// `query` encoded once per resolution; every attempt only patches
+    /// the message id in its first two bytes.
+    wire: Vec<u8>,
+    /// The last reply decoded; valid after [`Ldns::exchange`] returns
+    /// `true`.
+    reply: Message,
 }
 
 /// What the top level said about a name.
@@ -171,8 +183,7 @@ struct TraceStages {
 pub struct Ldns {
     cfg: LdnsConfig,
     cache: ResolverCache,
-    /// Scratch for the timer-wheel drain, reused across resolutions.
-    wheel_scratch: Vec<CacheKey>,
+    upstream: UpstreamScratch,
     next_id: u16,
     stats: LdnsStats,
     /// Ring receiving sampled per-resolution traces (`None`: untraced).
@@ -186,7 +197,11 @@ impl Ldns {
         Ldns {
             cache: ResolverCache::new(cfg.cache, now),
             cfg,
-            wheel_scratch: Vec::new(),
+            upstream: UpstreamScratch {
+                query: Message::query(0, Question::a(DnsName::root()), None),
+                wire: Vec::new(),
+                reply: Message::empty(),
+            },
             next_id: 0,
             stats: LdnsStats::default(),
             trace: None,
@@ -328,7 +343,7 @@ impl Ldns {
     ) -> Resolved {
         self.stats.downstream_queries += 1;
         // Reap TTL-expired entries up to now; churn shows up in stats.
-        self.cache.advance(now, &mut self.wheel_scratch);
+        self.cache.advance(now);
 
         let ecs_on = self.cfg.ecs.sends_for(qname);
         let lookup_prefix = if ecs_on { self.cfg.source_prefix } else { 0 };
@@ -375,6 +390,9 @@ impl Ldns {
         }
 
         let mut upstream = 0u32;
+        // Both legs of the walk ask the same question; put it on the wire
+        // once.
+        self.encode_query(qname, client, ecs_on);
 
         // Delegation: which low-level NS serves this name for us? The
         // top level answers per resolver with scope 0, so the entry is
@@ -390,15 +408,8 @@ impl Ldns {
             Some(ip) => ip,
             None => {
                 let t_deleg = self.tstages.timed.then(Instant::now);
-                let deleg = self.fetch_delegation(
-                    transport,
-                    shard,
-                    top_ip,
-                    qname,
-                    client,
-                    &mut upstream,
-                    now,
-                );
+                let deleg =
+                    self.fetch_delegation(transport, shard, top_ip, qname, &mut upstream, now);
                 if let Some(t) = t_deleg {
                     self.tstages.deleg_ns += t.elapsed().as_nanos() as u64;
                 }
@@ -421,32 +432,17 @@ impl Ldns {
 
         // Low level: the A answer, scoped when ECS is on.
         let t_up = self.tstages.timed.then(Instant::now);
-        let exch = self.exchange(
-            transport,
-            shard,
-            low_ip,
-            qname,
-            client,
-            ecs_on,
-            &mut upstream,
-        );
+        let answered = self.exchange(transport, shard, low_ip, &mut upstream);
         if let Some(t) = t_up {
             self.tstages.upstream_ns += t.elapsed().as_nanos() as u64;
         }
-        let resp = match exch {
-            Exchange::Response(m) => m,
-            Exchange::Failed => return self.fail(qname, upstream, now),
-        };
+        if !answered {
+            return self.fail(qname, upstream, now);
+        }
+        let resp = &self.upstream.reply;
         match resp.flags.rcode {
             Rcode::NoError if !resp.answers.is_empty() => {
-                let ips: Vec<Ipv4Addr> = resp
-                    .answers
-                    .iter()
-                    .filter_map(|r| match r.rdata {
-                        RData::A(ip) => Some(ip),
-                        _ => None,
-                    })
-                    .collect();
+                let ips = resp.answer_ips();
                 if ips.is_empty() {
                     return self.fail(qname, upstream, now);
                 }
@@ -477,7 +473,7 @@ impl Ldns {
                 // Negative answer (NXDOMAIN, or NODATA when NoError with
                 // an empty answer section): RFC 2308 caching.
                 let rcode = resp.flags.rcode;
-                let ttl_s = self.negative_ttl(&resp);
+                let ttl_s = self.negative_ttl(resp);
                 self.cache.insert(
                     qname.clone(),
                     RrType::A,
@@ -497,28 +493,44 @@ impl Ldns {
         }
     }
 
+    /// Encodes this resolution's upstream query — `qname` type A, with
+    /// the client's subnet when `ecs_on` — into the reused wire buffer.
+    fn encode_query(&mut self, qname: &DnsName, client: Ipv4Addr, ecs_on: bool) {
+        let UpstreamScratch { query, wire, .. } = &mut self.upstream;
+        if let Some(q) = query.questions.first_mut() {
+            q.name.clone_from(qname);
+        }
+        query.additionals.clear();
+        if ecs_on {
+            let ecs = EcsOption::query(client, self.cfg.source_prefix);
+            query.additionals.push(Record {
+                name: DnsName::root(),
+                ttl: 0,
+                rdata: RData::Opt(OptData::with_ecs(ecs)),
+            });
+        }
+        encode_message_into(query, wire);
+    }
+
     /// Queries the top level for `qname`'s delegation, caching the glue
     /// under `(qname, NS)` with the referral TTL.
-    #[allow(clippy::too_many_arguments)] // one upstream leg's full context, clearer spelled out
     fn fetch_delegation<C: ClientTransport>(
         &mut self,
         transport: &mut C,
         shard: usize,
         top_ip: Ipv4Addr,
         qname: &DnsName,
-        client: Ipv4Addr,
         upstream: &mut u32,
         now: Instant,
     ) -> Delegation {
-        let ecs_on = self.cfg.ecs.sends_for(qname);
-        let resp = match self.exchange(transport, shard, top_ip, qname, client, ecs_on, upstream) {
-            Exchange::Response(m) => m,
-            Exchange::Failed => return Delegation::Failed,
-        };
+        if !self.exchange(transport, shard, top_ip, upstream) {
+            return Delegation::Failed;
+        }
+        let resp = &self.upstream.reply;
         if resp.flags.rcode != Rcode::NoError {
             // NXDOMAIN at the top is a real negative for the name.
             if resp.flags.rcode == Rcode::NxDomain {
-                let ttl_s = self.negative_ttl(&resp);
+                let ttl_s = self.negative_ttl(resp);
                 self.cache.insert(
                     qname.clone(),
                     RrType::A,
@@ -529,25 +541,19 @@ impl Ldns {
             }
             return Delegation::Failed;
         }
-        let ns_name = resp.authorities.iter().find_map(|r| match &r.rdata {
-            RData::Ns(target) => Some((target.clone(), r.ttl)),
+        let referral = resp.authorities.iter().find_map(|r| match &r.rdata {
+            RData::Ns(target) => Some((target, r.ttl)),
             _ => None,
         });
-        let (ns_name, ttl) = match ns_name {
-            Some(v) => v,
-            None => return Delegation::Failed,
+        let Some((ns_name, ttl)) = referral else {
+            return Delegation::Failed;
         };
-        let glue = resp.additionals.iter().find_map(|g| {
-            if g.name == ns_name {
-                if let RData::A(ip) = g.rdata {
-                    return Some(ip);
-                }
-            }
-            None
+        let glue = resp.additionals.iter().find_map(|g| match g.rdata {
+            RData::A(ip) if g.name == *ns_name => Some(ip),
+            _ => None,
         });
-        let glue = match glue {
-            Some(ip) => ip,
-            None => return Delegation::Failed,
+        let Some(glue) = glue else {
+            return Delegation::Failed;
         };
         self.cache.insert(
             qname.clone(),
@@ -558,20 +564,18 @@ impl Ldns {
         Delegation::Found(glue)
     }
 
-    /// One upstream exchange with bounded retries: encode, send, decode,
-    /// verify. Timeouts retry; SERVFAIL retries (the next attempt could
-    /// hit a healthy path); other transport errors fail immediately.
-    #[allow(clippy::too_many_arguments)] // one upstream leg's full context, clearer spelled out
+    /// One upstream exchange of the encoded query with bounded retries:
+    /// stamp an id, send, decode, verify. Timeouts retry; SERVFAIL
+    /// retries (the next attempt could hit a healthy path); other
+    /// transport errors fail immediately. `true` leaves the verified
+    /// response in `self.upstream.reply`.
     fn exchange<C: ClientTransport>(
         &mut self,
         transport: &mut C,
         shard: usize,
         server_ip: Ipv4Addr,
-        qname: &DnsName,
-        client: Ipv4Addr,
-        ecs_on: bool,
         upstream: &mut u32,
-    ) -> Exchange {
+    ) -> bool {
         for attempt in 0..self.cfg.attempts.max(1) {
             // A traced resolution's first attempt reuses the propagated
             // trace id's low 16 bits (retries fall back to fresh ids so a
@@ -581,24 +585,23 @@ impl Ldns {
             } else {
                 self.fresh_id()
             };
-            let opt =
-                ecs_on.then(|| OptData::with_ecs(EcsOption::query(client, self.cfg.source_prefix)));
-            let query = Message::query(id, Question::a(qname.clone()), opt);
-            let bytes = encode_message(&query);
+            if let Some(head) = self.upstream.wire.get_mut(..2) {
+                head.copy_from_slice(&id.to_be_bytes());
+            }
             *upstream += 1;
             self.stats.upstream_queries += 1;
             match transport.exchange(
                 shard,
                 server_ip,
                 self.cfg.ip,
-                &bytes,
+                &self.upstream.wire,
                 self.cfg.upstream_timeout,
             ) {
                 Ok(resp_bytes) => {
-                    let resp = match decode_message(&resp_bytes) {
-                        Ok(m) => m,
-                        Err(_) => continue,
-                    };
+                    let resp = &mut self.upstream.reply;
+                    if decode_message_into(&resp_bytes, resp).is_err() {
+                        continue;
+                    }
                     if resp.id != id || !resp.flags.qr {
                         continue;
                     }
@@ -619,7 +622,7 @@ impl Ldns {
                             shard,
                             server_ip,
                             self.cfg.ip,
-                            &bytes,
+                            &self.upstream.wire,
                             self.cfg.upstream_timeout,
                         );
                         if let Some(t) = t_tcp {
@@ -627,14 +630,13 @@ impl Ldns {
                         }
                         match stream_res {
                             Ok(tcp_bytes) => {
-                                if let Ok(m) = decode_message(&tcp_bytes) {
-                                    if m.id == id
-                                        && m.flags.qr
-                                        && !m.flags.tc
-                                        && m.flags.rcode != Rcode::ServFail
-                                    {
-                                        return Exchange::Response(m);
-                                    }
+                                if decode_message_into(&tcp_bytes, resp).is_ok()
+                                    && resp.id == id
+                                    && resp.flags.qr
+                                    && !resp.flags.tc
+                                    && resp.flags.rcode != Rcode::ServFail
+                                {
+                                    return true;
                                 }
                                 continue;
                             }
@@ -645,7 +647,7 @@ impl Ldns {
                             Err(_) => continue,
                         }
                     }
-                    return Exchange::Response(resp);
+                    return true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => {
                     self.stats.upstream_timeouts += 1;
@@ -654,7 +656,7 @@ impl Ldns {
                 Err(_) => break,
             }
         }
-        Exchange::Failed
+        false
     }
 
     /// RFC 2308 §5 negative TTL: `min(SOA TTL, SOA minimum)` when the

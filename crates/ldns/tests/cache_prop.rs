@@ -1,7 +1,10 @@
 //! Property tests for the resolver-side ECS cache: the RFC 7871 §7.3.1
 //! reuse rules must hold against the same oracle the authd-side cache is
 //! tested with, TTL expiry must never serve a stale answer, and negative
-//! caching must honor RFC 2308's SOA-minimum rule end to end.
+//! caching must honor RFC 2308's SOA-minimum rule end to end. A
+//! differential test drives the slab-backed cache and a naive
+//! `Vec`-backed model through the same interleavings at tiny bounds, so
+//! FIFO order, eviction victims and every counter are pinned.
 
 use eum_authd::ClientTransport;
 use eum_dns::{
@@ -9,7 +12,8 @@ use eum_dns::{
 };
 use eum_geo::Prefix;
 use eum_ldns::{
-    AnswerBody, CacheEntry, EcsPolicy, Ldns, LdnsCacheConfig, LdnsConfig, ResolverCache,
+    AnswerBody, CacheEntry, EcsPolicy, Ldns, LdnsCacheConfig, LdnsCacheStats, LdnsConfig,
+    ResolverCache,
 };
 use proptest::prelude::*;
 use std::io;
@@ -106,8 +110,7 @@ proptest! {
         }
         let inserted = model.len();
 
-        let mut scratch = Vec::new();
-        cache.advance(t0 + Duration::from_secs(advance_to), &mut scratch);
+        cache.advance(t0 + Duration::from_secs(advance_to));
 
         // Probes run at/after the advance point, in time order: a
         // resolver's clock never runs backwards.
@@ -233,5 +236,245 @@ proptest! {
         prop_assert_eq!(again.rcode, Rcode::NxDomain);
         prop_assert!(again.from_cache);
         prop_assert_eq!(again.upstream_queries, 0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Differential model: FIFO order, eviction victims, every counter.
+// ---------------------------------------------------------------------
+
+/// What the cache keys an entry by (the name by its index in [`NAMES`]).
+#[derive(Debug, Clone, PartialEq)]
+struct ModelKey {
+    name: usize,
+    qtype: RrType,
+    block: Option<Prefix>,
+}
+
+struct ModelEntry {
+    key: ModelKey,
+    body: AnswerBody,
+    scope: u8,
+    expires_ms: u64,
+    /// The wheel tick this entry's deadline fires on: the deadline
+    /// rounded up to a whole second, or the wheel's cursor if that is
+    /// already later.
+    fire_tick: u64,
+}
+
+impl ModelEntry {
+    fn negative(&self) -> bool {
+        !matches!(self.body, AnswerBody::Addresses(_))
+    }
+}
+
+/// The cache as a specification: live entries in a `Vec` in insertion
+/// order, the negative class's own order beside it, every operation a
+/// linear scan. It is the `VecDeque` + `retain` cache this crate used to
+/// ship, with one simplification: the old wheel armed *keys*, so a
+/// deadline left behind by a key's earlier life could reap its
+/// re-inserted entry up to a second before that entry's own deadline
+/// came round; here, as in the slab cache, an entry is reaped by the
+/// first advance at or past the tick of its own deadline.
+struct Model {
+    cfg: LdnsCacheConfig,
+    live: Vec<ModelEntry>,
+    negatives: Vec<ModelKey>,
+    /// The wheel's next unprocessed tick.
+    cursor: u64,
+    stats: LdnsCacheStats,
+}
+
+impl Model {
+    fn remove(&mut self, key: &ModelKey) {
+        self.live.retain(|e| e.key != *key);
+        self.negatives.retain(|k| k != key);
+    }
+
+    fn insert(&mut self, key: ModelKey, body: AnswerBody, scope: u8, ttl_s: u32, now_ms: u64) {
+        let expires_ms = now_ms + 1000 * u64::from(ttl_s);
+        let new = ModelEntry {
+            key: key.clone(),
+            body,
+            scope,
+            expires_ms,
+            fire_tick: expires_ms.div_ceil(1000).max(self.cursor),
+        };
+        let neg = new.negative();
+        if neg {
+            while self.negatives.len() >= self.cfg.max_negative_entries.max(1) {
+                let oldest = self.negatives[0].clone();
+                self.remove(&oldest);
+                self.stats.negative_evictions += 1;
+            }
+        }
+        while self.live.len() >= self.cfg.max_entries.max(1) {
+            let oldest = self.live[0].key.clone();
+            self.remove(&oldest);
+            self.stats.evictions += 1;
+        }
+        match self.live.iter_mut().find(|e| e.key == key) {
+            // In place: the capacity position stays; the negative order
+            // changes only on a class flip.
+            Some(resident) => {
+                let was_neg = resident.negative();
+                *resident = new;
+                if was_neg && !neg {
+                    self.negatives.retain(|k| *k != key);
+                } else if neg && !was_neg {
+                    self.negatives.push(key);
+                }
+            }
+            None => {
+                self.live.push(new);
+                if neg {
+                    self.negatives.push(key);
+                }
+            }
+        }
+        self.stats.insertions += 1;
+    }
+
+    /// Body, scope and deadline (ms) of the entry a lookup serves.
+    fn lookup(
+        &mut self,
+        name: usize,
+        qtype: RrType,
+        client: Ipv4Addr,
+        source_prefix: u8,
+        now_ms: u64,
+    ) -> Option<(AnswerBody, u8, u64)> {
+        let blocks = (1..=source_prefix.min(32))
+            .rev()
+            .map(|len| Some(Prefix::of(client, len)))
+            .chain([None]);
+        for block in blocks {
+            let key = ModelKey { name, qtype, block };
+            let Some(e) = self.live.iter().find(|e| e.key == key) else {
+                continue;
+            };
+            if now_ms >= e.expires_ms {
+                self.remove(&key);
+                self.stats.stale_drops += 1;
+                continue;
+            }
+            self.stats.hits_by_scope[usize::from(e.scope.min(32))] += 1;
+            return Some((e.body.clone(), e.scope, e.expires_ms));
+        }
+        self.stats.misses += 1;
+        None
+    }
+
+    fn advance(&mut self, now_ms: u64) {
+        let now_tick = now_ms / 1000;
+        if self.cursor > now_tick {
+            return;
+        }
+        let due: Vec<ModelKey> = self
+            .live
+            .iter()
+            .filter(|e| e.fire_tick <= now_tick)
+            .map(|e| e.key.clone())
+            .collect();
+        for key in &due {
+            self.remove(key);
+        }
+        self.stats.expirations += due.len() as u64;
+        self.cursor = now_tick + 1;
+    }
+}
+
+const NAMES: [&str; 4] = [
+    "e0.cdn.example",
+    "e1.cdn.example",
+    "a-rather-longer-customer-hostname.cdn.example",
+    "nx.cdn.example",
+];
+
+const CLIENTS: [Ipv4Addr; 4] = [
+    Ipv4Addr::new(10, 1, 2, 3),
+    Ipv4Addr::new(10, 1, 9, 9),
+    Ipv4Addr::new(10, 2, 0, 1),
+    Ipv4Addr::new(172, 16, 0, 1),
+];
+
+proptest! {
+    /// Random interleavings of insert (positive / negative / failure,
+    /// global / scoped, refreshes and class flips fall out of the small
+    /// key space), lookup and advance on a sub-second clock, at bounds
+    /// small enough that both FIFOs overflow constantly. After every step
+    /// the cache and the model agree on the lookup result, both lengths
+    /// and every counter.
+    #[test]
+    fn slab_cache_matches_the_naive_model(
+        steps in proptest::collection::vec(
+            (0u8..8, 0usize..4, 0u8..12, 0usize..4, 0u32..6, 0u64..1500),
+            1..160,
+        ),
+    ) {
+        let t0 = Instant::now();
+        let cfg = LdnsCacheConfig {
+            max_entries: 8,
+            max_negative_entries: 3,
+            ..LdnsCacheConfig::default()
+        };
+        let names: Vec<DnsName> = NAMES.iter().map(|n| n.parse().unwrap()).collect();
+        let mut cache = ResolverCache::new(cfg, t0);
+        let mut model = Model {
+            cfg,
+            live: Vec::new(),
+            negatives: Vec::new(),
+            cursor: 0,
+            stats: LdnsCacheStats::default(),
+        };
+        let mut now_ms = 0u64;
+        for (i, (kind, name, shape, client, ttl_s, dt_ms)) in steps.into_iter().enumerate() {
+            now_ms += dt_ms;
+            let now = t0 + Duration::from_millis(now_ms);
+            let client = CLIENTS[client];
+            let qtype = if (name + usize::from(shape)).is_multiple_of(5) {
+                RrType::Ns
+            } else {
+                RrType::A
+            };
+            match kind {
+                0..=3 => {
+                    let body = match shape % 3 {
+                        0 => AnswerBody::Addresses(vec![Ipv4Addr::from(i as u32)]),
+                        1 => AnswerBody::Negative(Rcode::NxDomain),
+                        _ => AnswerBody::Failure,
+                    };
+                    let len = [0u8, 8, 16, 24][usize::from(shape / 3)];
+                    let block = (len > 0).then(|| Prefix::of(client, len));
+                    let key = ModelKey { name, qtype, block };
+                    model.insert(key, body.clone(), len, ttl_s, now_ms);
+                    cache.insert(
+                        names[name].clone(),
+                        qtype,
+                        block,
+                        CacheEntry::new(body, len, ttl_s, now),
+                    );
+                }
+                4..=6 => {
+                    let source_prefix = [0u8, 8, 16, 24, 32][usize::from(shape % 5)];
+                    let want = model
+                        .lookup(name, qtype, client, source_prefix, now_ms)
+                        .map(|(body, scope, expires_ms)| {
+                            (body, scope, t0 + Duration::from_millis(expires_ms))
+                        });
+                    let got = cache
+                        .lookup(&names[name], qtype, client, source_prefix, now)
+                        .map(|e| (e.body.clone(), e.scope, e.expires_at()));
+                    prop_assert_eq!(got, want, "step {}: lookup", i);
+                }
+                _ => {
+                    model.advance(now_ms);
+                    cache.advance(now);
+                }
+            }
+            prop_assert_eq!(cache.len(), model.live.len(), "step {}: len", i);
+            prop_assert_eq!(cache.negative_len(), model.negatives.len(), "step {}: negative_len", i);
+            prop_assert_eq!(cache.stats(), model.stats, "step {}: stats", i);
+        }
     }
 }

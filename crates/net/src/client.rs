@@ -14,6 +14,9 @@ pub struct SocketClient {
     udp_addrs: Vec<SocketAddr>,
     tcp_addrs: Vec<SocketAddr>,
     buf: Box<[u8; MAX_DATAGRAM]>,
+    /// The receive timeout the socket currently carries, so an exchange
+    /// pays the `setsockopt` only when its timeout differs from the last.
+    read_timeout: Option<Duration>,
 }
 
 impl SocketClient {
@@ -32,6 +35,7 @@ impl SocketClient {
             udp_addrs,
             tcp_addrs,
             buf: Box::new([0; MAX_DATAGRAM]),
+            read_timeout: None,
         })
     }
 }
@@ -47,7 +51,10 @@ impl ClientTransport for SocketClient {
     ) -> io::Result<Vec<u8>> {
         let dest = self.udp_addrs[shard % self.udp_addrs.len()];
         self.socket.send_to(payload, dest)?;
-        self.socket.set_read_timeout(Some(timeout))?;
+        if self.read_timeout != Some(timeout) {
+            self.socket.set_read_timeout(Some(timeout))?;
+            self.read_timeout = Some(timeout);
+        }
         loop {
             let (n, from) = self.socket.recv_from(&mut self.buf[..]).map_err(|e| {
                 if matches!(
@@ -103,5 +110,44 @@ impl ClientTransport for SocketClient {
 
     fn num_shards(&self) -> usize {
         self.udp_addrs.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// How long one exchange against `peer` waits before timing out.
+    fn silent_wait(client: &mut SocketClient, timeout: Duration) -> Duration {
+        let start = Instant::now();
+        let err = client
+            .exchange(
+                0,
+                Ipv4Addr::LOCALHOST,
+                Ipv4Addr::LOCALHOST,
+                b"ping",
+                timeout,
+            )
+            .expect_err("a silent peer never answers");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        start.elapsed()
+    }
+
+    #[test]
+    fn changed_timeout_takes_effect_against_a_silent_peer() {
+        // Bound, never read, never answered.
+        let peer = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let mut client =
+            SocketClient::connect(vec![peer.local_addr().unwrap()], Vec::new()).unwrap();
+        let long = Duration::from_millis(400);
+        let short = Duration::from_millis(20);
+        assert!(silent_wait(&mut client, long) >= long);
+        // Shorter than the one the socket carries: must be re-issued.
+        assert!(silent_wait(&mut client, short) < long / 2);
+        // Unchanged: the remembered value still applies.
+        assert!(silent_wait(&mut client, short) < long / 2);
+        // And longer again.
+        assert!(silent_wait(&mut client, long) >= long);
     }
 }

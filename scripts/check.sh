@@ -32,8 +32,8 @@ step "model checking (scripts/mcheck.sh)"
 scripts/mcheck.sh
 step_done
 
-step "cargo test -q"
-cargo test -q
+step "cargo test -q --workspace"
+cargo test -q --workspace
 step_done
 
 step "cargo bench --no-run"
@@ -54,6 +54,10 @@ step_done
 
 step "chaos smoke (NXDOMAIN flood + flash crowd, defenses off vs on)"
 cargo run -q --release --example chaos_lab -- --smoke | tee /dev/stderr | grep -q "CHAOS PASS"
+step_done
+
+step "eum-e2e-bench smoke (bench/ is a package of its own: a crate API it uses must still compile and run)"
+cargo run --release --quiet --offline --manifest-path bench/Cargo.toml -- --smoke
 step_done
 
 echo "All checks passed in $((SECONDS - total_start))s."
