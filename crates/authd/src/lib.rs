@@ -10,14 +10,16 @@
 //!
 //! Layers, bottom up:
 //!
-//! - [`transport`] — pluggable datagram endpoints: an in-process channel
-//!   pair for deterministic tests/benches and a loopback UDP socket per
-//!   shard for end-to-end runs.
+//! - [`transport`] — the transport traits the shard loop is written
+//!   against, plus the in-process channel pair for deterministic
+//!   tests/benches. Kernel sockets (UDP and the TCP fallback) live in
+//!   eum-net, which implements the same traits.
 //! - [`snapshot`] — atomically swappable `Arc<MappingSystem>` with
 //!   generation numbers.
 //! - [`cache`] — bounded per-shard answer cache keyed by
 //!   `(qname, qtype, ECS scope block)` with `/y ≤ /x` narrowing.
-//! - [`server`] — the sharded worker-pool loop tying the above together.
+//! - [`server`] — the sharded worker-pool loop tying the above
+//!   together: one batched shard loop for every transport.
 //! - [`loadgen`] — multi-threaded closed-loop clients with latency
 //!   percentiles and verification of every response.
 //! - [`telemetry`] — observability wiring: per-shard counters and stage
@@ -60,5 +62,5 @@ pub use telemetry::TelemetryConfig;
 pub use transport::{
     channel_transports, BatchDatagram, BatchServerTransport, ChannelClient, ChannelConnector,
     ChannelTransport, ClientTransport, Datagram, FaultConfig, FaultInjector, ServerTransport,
-    UdpClient, UdpTransport, MAX_DATAGRAM,
+    MAX_DATAGRAM,
 };

@@ -1,24 +1,28 @@
 //! The sharded authoritative serving loop.
 //!
-//! [`AuthServer::spawn`] starts one OS thread per transport shard. Each
-//! shard owns its transport endpoint and a [`ShardState`] outright — the
-//! decode scratch, the reply buffer, and the [`AnswerCache`] all live for
-//! the shard's lifetime, so the steady-state serve path never allocates.
+//! [`AuthServer::spawn_batched`] starts one OS thread per transport
+//! shard, and every shard runs the same loop whatever carries its
+//! queries: the kernel socket transport hands over `recvmmsg` batches,
+//! and single-datagram substrates (channel, TCP) come through
+//! [`AuthServer::spawn`] as batches of one. Each shard owns its
+//! transport endpoint and a [`ShardState`] outright — the decode
+//! scratch, the reply buffer, and the [`AnswerCache`] all live for the
+//! shard's lifetime, so the steady-state serve path never allocates.
 //! The only shared state is the snapshot cell (each shard holds a
 //! [`crate::SnapshotReader`] whose steady-state revalidation is one
 //! atomic load) and the relaxed live counters; shards never contend on a
-//! lock. Per query a shard:
+//! lock. Per batch a shard:
 //!
-//! 1. receives one RFC 1035 datagram,
-//! 2. revalidates its map snapshot (transitioning its cache — keyed
-//!    delta invalidation or a wholesale clear — if the generation
-//!    changed since the last query),
-//! 3. decodes into the shard's persistent [`Message`] scratch, consults
-//!    the ECS-aware cache — a hit memcpys the stored wire bytes and
-//!    patches them in place; a miss computes through
+//! 1. receives up to a batch of RFC 1035 datagrams,
+//! 2. revalidates its map snapshot once for the whole batch
+//!    (transitioning its cache — keyed delta invalidation or a wholesale
+//!    clear — if the generation changed since the last batch),
+//! 3. for each query, decodes into the shard's persistent [`Message`]
+//!    scratch and consults the ECS-aware cache — a hit memcpys the stored
+//!    wire bytes and patches them in place; a miss computes through
 //!    [`eum_mapping::MappingSystem::answer`] and encodes into the reused
-//!    reply buffer,
-//! 4. sends the reply buffer.
+//!    reply buffer — then stages the reply buffer with the transport,
+//! 4. flushes the staged replies.
 //!
 //! Malformed packets get a FORMERR when the header is intact (so the ID
 //! can be echoed) and are dropped otherwise, like a production server.
@@ -29,11 +33,14 @@ use crate::admission::{AdmissionConfig, TokenBucket};
 use crate::cache::{AnswerCache, AnswerCacheStats, CacheConfig, CachedAnswer};
 use crate::snapshot::{Snapshot, SnapshotHandle};
 use crate::telemetry::{ShardInstruments, TelemetryConfig};
-use crate::transport::{BatchServerTransport, ServerTransport, MAX_DATAGRAM};
+use crate::transport::{
+    BatchDatagram, BatchServerTransport, Datagram, ServerTransport, MAX_DATAGRAM,
+};
 use crate::truncate::truncate_in_place;
 use eum_dns::{decode_message_into, encode_message_into, DnsName, Message, QueryContext, Rcode};
 use eum_geo::Prefix;
 use eum_telemetry::{QueryTrace, TraceHop, TraceOutcome, TraceRing};
+use std::io;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,7 +51,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The authoritative IP a shard serves when the transport does not
-    /// carry one per datagram (UDP mode).
+    /// carry one per datagram (sockets).
     pub default_server_ip: Ipv4Addr,
     /// Per-shard answer-cache bounds; `None` disables caching entirely
     /// (every query routes through the snapshot).
@@ -192,38 +199,24 @@ pub struct AuthServer {
 }
 
 impl AuthServer {
-    /// Spawns one serving thread per transport in `transports`.
+    /// Spawns one serving thread per single-datagram transport (channel,
+    /// TCP): [`AuthServer::spawn_batched`] over batches of one.
     pub fn spawn<T: ServerTransport>(
         transports: Vec<T>,
         snapshots: SnapshotHandle,
         cfg: ServerConfig,
     ) -> AuthServer {
-        let stop = Arc::new(AtomicBool::new(false));
-        let shards = transports.len();
-        let mut counters = Vec::new();
-        let mut handles = Vec::new();
-        for (shard, transport) in transports.into_iter().enumerate() {
-            let c = Arc::new(ShardCounters::default());
-            counters.push(c.clone());
-            let stop = stop.clone();
-            let snapshots = snapshots.clone();
-            let cfg = cfg.clone();
-            handles.push(std::thread::spawn(move || {
-                run_shard(shard, shards, transport, snapshots, cfg, stop, c)
-            }));
-        }
-        AuthServer {
-            stop,
-            counters,
-            handles,
-        }
+        let batched = transports
+            .into_iter()
+            .map(|inner| BatchOfOne { inner, slot: None })
+            .collect();
+        AuthServer::spawn_batched(batched, snapshots, cfg)
     }
 
-    /// Spawns one serving thread per batched transport — the same shard
-    /// loop as [`AuthServer::spawn`] but moving datagrams in kernel
-    /// batches (`recvmmsg`/`sendmmsg`) through a
-    /// [`BatchServerTransport`]: receive up to a batch, serve each query
-    /// against one snapshot grab, stage every reply, flush once.
+    /// Spawns one serving thread per transport, each running the shard
+    /// loop over its [`BatchServerTransport`]: receive up to a batch
+    /// (`recvmmsg` on the socket transport), serve each query against
+    /// one snapshot grab, stage every reply, flush once (`sendmmsg`).
     pub fn spawn_batched<T: BatchServerTransport>(
         transports: Vec<T>,
         snapshots: SnapshotHandle,
@@ -240,7 +233,7 @@ impl AuthServer {
             let snapshots = snapshots.clone();
             let cfg = cfg.clone();
             handles.push(std::thread::spawn(move || {
-                run_shard_batched(shard, shards, transport, snapshots, cfg, stop, c)
+                run_shard(shard, shards, transport, snapshots, cfg, stop, c)
             }));
         }
         AuthServer {
@@ -626,204 +619,51 @@ fn elapsed_ns(since: Option<Instant>) -> u64 {
     since.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
 }
 
-fn run_shard<T: ServerTransport>(
-    shard: usize,
-    shards: usize,
-    mut transport: T,
-    snapshots: SnapshotHandle,
-    cfg: ServerConfig,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ShardCounters>,
-) -> ShardReport {
-    let mut state = ShardState::new(cfg.cache);
-    let admission_on = cfg.admission.is_some();
-    if let Some(a) = &cfg.admission {
-        state = state.with_admission(a, Instant::now());
-    }
-    // The shard's snapshot view: steady-state revalidation is one atomic
-    // load — no lock, no Arc clone per query.
-    let mut reader = snapshots.reader();
-    let mut tel = cfg
-        .telemetry
-        .as_ref()
-        .map(|t| ShardInstruments::register(&t.registry, shard, shards));
-    let trace = cfg.telemetry.as_ref().and_then(|t| t.trace.clone());
-    let mut dropped = 0u64;
-    let mut malformed = 0u64;
-    let mut admitted = 0u64;
-    let mut received = 0u64;
-    // relaxed-ok: the stop flag carries no data; shards only need to see
-    // it eventually, and stop_join's SeqCst store plus thread join gives
-    // the final synchronization
-    while !stop.load(Ordering::Relaxed) {
-        let dg = match transport.recv(cfg.recv_timeout) {
-            Ok(Some(dg)) => dg,
-            Ok(None) => continue,
-            Err(_) => continue,
-        };
-        received += 1;
-        // The rate lives on the ring so operators can retune it mid-run.
-        let sampled = trace
-            .as_ref()
-            .is_some_and(|ring| ring.should_sample(received));
-        let timed = tel.is_some();
-        let t_start = timed.then(Instant::now);
+/// Batch-of-one adapter: drives a single-datagram [`ServerTransport`]
+/// (channel, TCP) through the batched shard loop. `recv_batch` is one
+/// `recv` into slot 0 and `stage_reply` sends at once — there is nothing
+/// to coalesce, and sending there keeps the reply ahead of the shard's
+/// telemetry bookkeeping — so `flush` has nothing left to do.
+struct BatchOfOne<T: ServerTransport> {
+    inner: T,
+    slot: Option<Datagram<T::Peer>>,
+}
 
-        let snap = reader.snapshot();
-        if state.observe(snap) {
-            if let Some(t) = tel.as_ref() {
-                t.generation.set(snap.generation as f64);
-            }
-        }
-        let server_ip = dg.server_ip.unwrap_or(cfg.default_server_ip);
-        let cap = if dg.stream {
-            ReplyCap::Stream
-        } else {
-            ReplyCap::Datagram {
-                transport_max: cfg.max_udp_reply,
-            }
-        };
-        let mut stages = QueryStages::new(timed);
-        let outcome = state.serve(
-            &snap.map,
-            server_ip,
-            dg.resolver_ip,
-            &dg.payload,
-            cap,
-            &mut stages,
-        );
-        let total_ns = elapsed_ns(t_start);
-        match outcome {
-            ServeOutcome::Replied {
-                cache_hit,
-                truncated,
-            } => {
-                // relaxed-ok: per-shard monotonic counters; readers only sum
-                counters.queries.fetch_add(1, Ordering::Relaxed);
-                if cache_hit {
-                    // relaxed-ok: per-shard monotonic counter
-                    counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                if truncated {
-                    // relaxed-ok: per-shard monotonic counter
-                    counters.truncated.fetch_add(1, Ordering::Relaxed);
-                }
-                if admission_on && !cache_hit {
-                    admitted += 1;
-                }
-                let _ = transport.send(&dg.peer, state.reply());
-                if let Some(t) = tel.as_mut() {
-                    t.queries.inc();
-                    if truncated {
-                        t.truncated.inc();
-                    }
-                    if admission_on && !cache_hit {
-                        t.admitted.inc();
-                    }
-                    t.record_stages(
-                        stages.decode_ns,
-                        stages.cache_ns,
-                        stages.route_ns,
-                        stages.encode_ns,
-                        total_ns,
-                    );
-                    if let Some(c) = state.cache() {
-                        t.sync_cache(c.stats(), c.len());
-                    }
-                }
-                if sampled {
-                    if let Some(ring) = trace.as_ref() {
-                        push_query_trace(
-                            ring,
-                            shard,
-                            snap.generation,
-                            &state,
-                            truncated,
-                            &stages,
-                            total_ns,
-                        );
-                    }
-                }
-            }
-            ServeOutcome::FormErr => {
-                // relaxed-ok: per-shard monotonic counter
-                counters.malformed.fetch_add(1, Ordering::Relaxed);
-                malformed += 1;
-                // relaxed-ok: per-shard monotonic counter
-                counters.queries.fetch_add(1, Ordering::Relaxed);
-                let _ = transport.send(&dg.peer, state.reply());
-                if let Some(t) = tel.as_ref() {
-                    t.queries.inc();
-                    t.formerr.inc();
-                }
-                if sampled {
-                    if let Some(ring) = trace.as_ref() {
-                        push_malformed_trace(ring, shard, snap.generation, &stages, total_ns);
-                    }
-                }
-            }
-            ServeOutcome::Shed => {
-                // relaxed-ok: per-shard monotonic counters; readers only sum
-                counters.queries.fetch_add(1, Ordering::Relaxed);
-                // relaxed-ok: per-shard monotonic counter
-                counters.shed.fetch_add(1, Ordering::Relaxed);
-                let _ = transport.send(&dg.peer, state.reply());
-                if let Some(t) = tel.as_ref() {
-                    t.queries.inc();
-                    t.shed.inc();
-                }
-                if sampled {
-                    if let Some(ring) = trace.as_ref() {
-                        push_query_trace(
-                            ring,
-                            shard,
-                            snap.generation,
-                            &state,
-                            false,
-                            &stages,
-                            total_ns,
-                        );
-                    }
-                }
-            }
-            ServeOutcome::Dropped => {
-                // relaxed-ok: per-shard monotonic counter
-                counters.malformed.fetch_add(1, Ordering::Relaxed);
-                malformed += 1;
-                dropped += 1;
-                if let Some(t) = tel.as_ref() {
-                    t.dropped.inc();
-                }
-                if sampled {
-                    if let Some(ring) = trace.as_ref() {
-                        push_malformed_trace(ring, shard, snap.generation, &stages, total_ns);
-                    }
-                }
-            }
+impl<T: ServerTransport> BatchServerTransport for BatchOfOne<T> {
+    fn recv_batch(&mut self, timeout: Duration) -> io::Result<usize> {
+        self.slot = self.inner.recv(timeout)?;
+        Ok(usize::from(self.slot.is_some()))
+    }
+
+    fn datagram(&self, _i: usize) -> BatchDatagram<'_> {
+        // lint: allow(serve-panic) — trait contract: `i` is below the last
+        // recv_batch count, which is 1 exactly when the slot is filled
+        let dg = self.slot.as_ref().expect("datagram() after recv_batch");
+        BatchDatagram {
+            payload: &dg.payload,
+            resolver_ip: dg.resolver_ip,
+            server_ip: dg.server_ip,
+            stream: dg.stream,
         }
     }
-    ShardReport {
-        shard,
-        // relaxed-ok: the shard thread itself wrote every increment
-        queries: counters.queries.load(Ordering::Relaxed),
-        dropped,
-        malformed,
-        // relaxed-ok: the shard thread itself wrote every increment
-        truncated: counters.truncated.load(Ordering::Relaxed),
-        // relaxed-ok: the shard thread itself wrote every increment
-        shed: counters.shed.load(Ordering::Relaxed),
-        admitted,
-        cache: state.cache().map(|c| c.stats()).unwrap_or_default(),
-        generations_seen: state.generations_seen(),
+
+    fn stage_reply(&mut self, _i: usize, reply: &[u8]) {
+        if let Some(dg) = &self.slot {
+            let _ = self.inner.send(&dg.peer, reply);
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
-/// The batched sibling of [`run_shard`]: one `recv_batch` feeds the same
-/// per-query serve path, all replies are staged by slot, and one `flush`
-/// sends them — so a warm shard makes two syscalls per *batch* instead
-/// of two per query. Batched transports are datagram-only, so every
-/// query gets the UDP reply cap.
-fn run_shard_batched<T: BatchServerTransport>(
+/// The shard loop: one `recv_batch` feeds the per-query serve path, all
+/// replies are staged by slot, and one `flush` sends them — so a warm
+/// kernel-batched shard makes two syscalls per *batch* instead of two
+/// per query, and a [`BatchOfOne`] shard degenerates to receive → serve
+/// → send.
+fn run_shard<T: BatchServerTransport>(
     shard: usize,
     shards: usize,
     mut transport: T,
@@ -846,9 +686,6 @@ fn run_shard_batched<T: BatchServerTransport>(
         .as_ref()
         .map(|t| ShardInstruments::register(&t.registry, shard, shards));
     let trace = cfg.telemetry.as_ref().and_then(|t| t.trace.clone());
-    let cap = ReplyCap::Datagram {
-        transport_max: cfg.max_udp_reply,
-    };
     let mut dropped = 0u64;
     let mut malformed = 0u64;
     let mut admitted = 0u64;
@@ -858,6 +695,8 @@ fn run_shard_batched<T: BatchServerTransport>(
     // lint: allow(serve-alloc) — one-time setup before the serve loop; the
     // capacity covers every datagram the transport can hand us
     let mut qbuf: Vec<u8> = Vec::with_capacity(MAX_DATAGRAM);
+    // relaxed-ok: per-shard monotonic counters; readers only sum
+    let bump = |c: &AtomicU64| c.fetch_add(1, Ordering::Relaxed);
     // relaxed-ok: the stop flag carries no data; shards only need to see
     // it eventually, and stop_join's SeqCst store plus thread join gives
     // the final synchronization
@@ -878,46 +717,76 @@ fn run_shard_batched<T: BatchServerTransport>(
         }
         for i in 0..n {
             received += 1;
+            // The rate lives on the ring so operators can retune it mid-run.
             let sampled = trace
                 .as_ref()
                 .is_some_and(|ring| ring.should_sample(received));
             let timed = tel.is_some();
             let t_start = timed.then(Instant::now);
-            let (resolver_ip, server_ip) = {
+            let (resolver_ip, server_ip, stream) = {
                 let dg = transport.datagram(i);
                 qbuf.clear();
                 qbuf.extend_from_slice(dg.payload);
-                (dg.resolver_ip, dg.server_ip)
+                (dg.resolver_ip, dg.server_ip, dg.stream)
             };
             let server_ip = server_ip.unwrap_or(cfg.default_server_ip);
+            let cap = if stream {
+                ReplyCap::Stream
+            } else {
+                ReplyCap::Datagram {
+                    transport_max: cfg.max_udp_reply,
+                }
+            };
             let mut stages = QueryStages::new(timed);
             let outcome = state.serve(&snap.map, server_ip, resolver_ip, &qbuf, cap, &mut stages);
             let total_ns = elapsed_ns(t_start);
-            match outcome {
+
+            // What the outcome means for the books: FORMERR and REFUSED
+            // are answers; only a query that decoded has an id and an ECS
+            // scope to trace; only a computed full reply was admitted.
+            let (cache_hit, truncated) = match outcome {
                 ServeOutcome::Replied {
                     cache_hit,
                     truncated,
-                } => {
-                    // relaxed-ok: per-shard monotonic counters; readers only sum
-                    counters.queries.fetch_add(1, Ordering::Relaxed);
-                    if cache_hit {
-                        // relaxed-ok: per-shard monotonic counter
-                        counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if truncated {
-                        // relaxed-ok: per-shard monotonic counter
-                        counters.truncated.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if admission_on && !cache_hit {
-                        admitted += 1;
-                    }
-                    transport.stage_reply(i, state.reply());
-                    if let Some(t) = tel.as_mut() {
-                        t.queries.inc();
+                } => (cache_hit, truncated),
+                _ => (false, false),
+            };
+            let answered = outcome != ServeOutcome::Dropped;
+            let decoded = !matches!(outcome, ServeOutcome::FormErr | ServeOutcome::Dropped);
+            let admitted_now =
+                admission_on && !cache_hit && matches!(outcome, ServeOutcome::Replied { .. });
+            if answered {
+                bump(&counters.queries);
+            } else {
+                dropped += 1;
+            }
+            if !decoded {
+                bump(&counters.malformed);
+                malformed += 1;
+            }
+            if cache_hit {
+                bump(&counters.cache_hits);
+            }
+            if truncated {
+                bump(&counters.truncated);
+            }
+            if outcome == ServeOutcome::Shed {
+                bump(&counters.shed);
+            }
+            admitted += u64::from(admitted_now);
+            if answered {
+                transport.stage_reply(i, state.reply());
+            }
+            if let Some(t) = tel.as_mut() {
+                if answered {
+                    t.queries.inc();
+                }
+                match outcome {
+                    ServeOutcome::Replied { .. } => {
                         if truncated {
                             t.truncated.inc();
                         }
-                        if admission_on && !cache_hit {
+                        if admitted_now {
                             t.admitted.inc();
                         }
                         t.record_stages(
@@ -931,73 +800,25 @@ fn run_shard_batched<T: BatchServerTransport>(
                             t.sync_cache(c.stats(), c.len());
                         }
                     }
-                    if sampled {
-                        if let Some(ring) = trace.as_ref() {
-                            push_query_trace(
-                                ring,
-                                shard,
-                                snap.generation,
-                                &state,
-                                truncated,
-                                &stages,
-                                total_ns,
-                            );
-                        }
-                    }
+                    ServeOutcome::FormErr => t.formerr.inc(),
+                    ServeOutcome::Shed => t.shed.inc(),
+                    ServeOutcome::Dropped => t.dropped.inc(),
                 }
-                ServeOutcome::FormErr => {
-                    // relaxed-ok: per-shard monotonic counter
-                    counters.malformed.fetch_add(1, Ordering::Relaxed);
-                    malformed += 1;
-                    // relaxed-ok: per-shard monotonic counter
-                    counters.queries.fetch_add(1, Ordering::Relaxed);
-                    transport.stage_reply(i, state.reply());
-                    if let Some(t) = tel.as_ref() {
-                        t.queries.inc();
-                        t.formerr.inc();
-                    }
-                    if sampled {
-                        if let Some(ring) = trace.as_ref() {
-                            push_malformed_trace(ring, shard, snap.generation, &stages, total_ns);
-                        }
-                    }
-                }
-                ServeOutcome::Shed => {
-                    // relaxed-ok: per-shard monotonic counters; readers only sum
-                    counters.queries.fetch_add(1, Ordering::Relaxed);
-                    // relaxed-ok: per-shard monotonic counter
-                    counters.shed.fetch_add(1, Ordering::Relaxed);
-                    transport.stage_reply(i, state.reply());
-                    if let Some(t) = tel.as_ref() {
-                        t.queries.inc();
-                        t.shed.inc();
-                    }
-                    if sampled {
-                        if let Some(ring) = trace.as_ref() {
-                            push_query_trace(
-                                ring,
-                                shard,
-                                snap.generation,
-                                &state,
-                                false,
-                                &stages,
-                                total_ns,
-                            );
-                        }
-                    }
-                }
-                ServeOutcome::Dropped => {
-                    // relaxed-ok: per-shard monotonic counter
-                    counters.malformed.fetch_add(1, Ordering::Relaxed);
-                    malformed += 1;
-                    dropped += 1;
-                    if let Some(t) = tel.as_ref() {
-                        t.dropped.inc();
-                    }
-                    if sampled {
-                        if let Some(ring) = trace.as_ref() {
-                            push_malformed_trace(ring, shard, snap.generation, &stages, total_ns);
-                        }
+            }
+            if sampled {
+                if let Some(ring) = trace.as_ref() {
+                    if decoded {
+                        push_query_trace(
+                            ring,
+                            shard,
+                            snap.generation,
+                            &state,
+                            truncated,
+                            &stages,
+                            total_ns,
+                        );
+                    } else {
+                        push_malformed_trace(ring, shard, snap.generation, &stages, total_ns);
                     }
                 }
             }

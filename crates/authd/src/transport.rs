@@ -1,20 +1,25 @@
 //! Pluggable datagram transports for the serving loop.
 //!
-//! The server loop is written against [`ServerTransport`] so the same
-//! shard code runs over two substrates:
+//! The shard loop is written against [`BatchServerTransport`] — receive
+//! a batch, serve each slot, stage its reply, flush — and the kernel
+//! socket transport (eum-net's `ReuseportUdpTransport`, the only UDP
+//! stack in the workspace) implements it directly. Substrates that hand
+//! over one query at a time implement the smaller [`ServerTransport`]
+//! and run the same loop as batches of one. The one such substrate in
+//! this crate:
 //!
 //! * [`ChannelTransport`] — in-process `std::sync::mpsc` queues. Fully
 //!   deterministic (no kernel scheduling, no socket buffers), so offline
 //!   tests and benches exercise decode → route → encode without network
 //!   noise. Each datagram carries the resolver IP the sender claims and
 //!   the authoritative server IP it targets, which lets one logical
-//!   server answer for its whole NS set (top-level + every cluster NS).
-//! * [`UdpTransport`] — one `std::net::UdpSocket` bound to loopback per
-//!   shard, the ECMP-style scale-out a production deployment uses. The
-//!   peer address comes from the kernel; queries are raw RFC 1035 wire
-//!   format with nothing wrapped around them, so the server's identity is
-//!   the socket itself (each shard serves the server IP it was spawned
-//!   with).
+//!   server answer for its whole NS set (top-level + every cluster NS),
+//!   and a `stream` flag that models the DNS-over-TCP retry leg.
+//!
+//! (eum-net's TCP listener is the other.) Socket peers carry neither
+//! address: the resolver is the kernel's peer address and the server's
+//! identity is the socket itself (each shard serves the server IP it was
+//! spawned with).
 //!
 //! `recv` returns `Ok(None)` on timeout so shards can poll their shutdown
 //! flag without busy-waiting.
@@ -22,7 +27,7 @@
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use std::io;
-use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
+use std::net::Ipv4Addr;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
@@ -38,6 +43,10 @@ use std::time::{Duration, Instant};
 /// immediately, degrading to a plain spin. Idle endpoints still park
 /// after one budget's worth of polling.
 const CHANNEL_SPIN: Duration = Duration::from_micros(50);
+
+/// Largest datagram either side will read. EDNS0 advertises up to 4096
+/// in practice; our messages are far smaller.
+pub const MAX_DATAGRAM: usize = 4096;
 
 /// One received query, addressed for reply.
 pub struct Datagram<P> {
@@ -56,7 +65,8 @@ pub struct Datagram<P> {
     pub peer: P,
 }
 
-/// A shard-side datagram endpoint.
+/// A shard-side endpoint that hands over one query at a time. The shard
+/// loop drives it as a [`BatchServerTransport`] of batch size one.
 pub trait ServerTransport: Send + 'static {
     /// Reply-address type.
     type Peer: Send;
@@ -67,8 +77,6 @@ pub trait ServerTransport: Send + 'static {
 }
 
 /// One query borrowed out of a [`BatchServerTransport`]'s receive batch.
-/// Batched transports are datagram-only (UDP): stream queries never
-/// arrive in batches, so there is no `stream` field.
 pub struct BatchDatagram<'a> {
     /// Raw RFC 1035 message bytes, borrowed from the transport's buffer.
     pub payload: &'a [u8],
@@ -76,11 +84,14 @@ pub struct BatchDatagram<'a> {
     pub resolver_ip: Ipv4Addr,
     /// Targeted authoritative IP; `None` means the shard's default.
     pub server_ip: Option<Ipv4Addr>,
+    /// True when the query arrived over a stream substrate (see
+    /// [`Datagram::stream`]); kernel UDP batches are always `false`.
+    pub stream: bool,
 }
 
-/// A shard-side endpoint that moves datagrams in kernel batches
-/// (`recvmmsg`/`sendmmsg`) instead of one at a time. The shard loop
-/// drives it strictly as: `recv_batch` → for each index `datagram` /
+/// The shard loop's transport: an endpoint that moves datagrams in
+/// batches (kernel `recvmmsg`/`sendmmsg` on the socket transport). The
+/// loop drives it strictly as: `recv_batch` → for each index `datagram` /
 /// `stage_reply` → `flush`. Replies are staged by batch index, so the
 /// transport pairs each one with the peer it received that slot from;
 /// indices are only valid until the next `recv_batch`. Implementations
@@ -106,7 +117,7 @@ pub trait BatchServerTransport: Send + 'static {
 pub trait ClientTransport: Send {
     /// Sends `payload` to shard `shard` as `resolver_ip` targeting
     /// `server_ip`, and waits for the response. Transports that cannot
-    /// carry the addressing (UDP) ignore it — the server's configured
+    /// carry the addressing (sockets) ignore it — the server's configured
     /// default applies and the kernel supplies the source.
     fn exchange(
         &mut self,
@@ -179,6 +190,15 @@ pub fn channel_transports(shards: usize) -> (Vec<ChannelTransport>, ChannelConne
     (transports, ChannelConnector { txs })
 }
 
+/// Every client hung up: a quiet socket, so wait like one. A
+/// disconnected channel reports at once instead of blocking; returning
+/// that straight to the shard loop would spin it on a whole core until
+/// its stop flag is set.
+fn hung_up<T>(timeout: Duration) -> io::Result<Option<T>> {
+    std::thread::sleep(timeout);
+    Ok(None)
+}
+
 impl ServerTransport for ChannelTransport {
     type Peer = Sender<Vec<u8>>;
 
@@ -194,15 +214,12 @@ impl ServerTransport for ChannelTransport {
                         match self.rx.recv_timeout(timeout) {
                             Ok(q) => break q,
                             Err(RecvTimeoutError::Timeout) => return Ok(None),
-                            // Every client hung up: treat as a quiet
-                            // socket; the shard exits when its stop
-                            // flag is set.
-                            Err(RecvTimeoutError::Disconnected) => return Ok(None),
+                            Err(RecvTimeoutError::Disconnected) => return hung_up(timeout),
                         }
                     }
                     std::thread::yield_now();
                 }
-                Err(TryRecvError::Disconnected) => return Ok(None),
+                Err(TryRecvError::Disconnected) => return hung_up(timeout),
             }
         };
         Ok(Some(Datagram {
@@ -435,130 +452,6 @@ impl<C: ClientTransport> ClientTransport for FaultInjector<C> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Loopback UDP transport.
-// ---------------------------------------------------------------------
-
-/// Largest datagram either side will read. EDNS0 advertises up to 4096
-/// in practice; our messages are far smaller.
-pub const MAX_DATAGRAM: usize = 4096;
-
-/// One shard's UDP socket.
-pub struct UdpTransport {
-    socket: UdpSocket,
-    buf: Box<[u8; MAX_DATAGRAM]>,
-}
-
-impl UdpTransport {
-    /// Binds an ephemeral loopback socket for one shard.
-    pub fn bind() -> io::Result<UdpTransport> {
-        let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-        Ok(UdpTransport {
-            socket,
-            buf: Box::new([0; MAX_DATAGRAM]),
-        })
-    }
-
-    /// Where clients should send.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-}
-
-impl ServerTransport for UdpTransport {
-    type Peer = SocketAddr;
-
-    fn recv(&mut self, timeout: Duration) -> io::Result<Option<Datagram<Self::Peer>>> {
-        self.socket.set_read_timeout(Some(timeout))?;
-        match self.socket.recv_from(&mut self.buf[..]) {
-            Ok((n, peer)) => {
-                let resolver_ip = match peer.ip() {
-                    std::net::IpAddr::V4(v4) => v4,
-                    std::net::IpAddr::V6(_) => Ipv4Addr::LOCALHOST,
-                };
-                Ok(Some(Datagram {
-                    payload: self.buf[..n].to_vec(),
-                    resolver_ip,
-                    server_ip: None,
-                    stream: false,
-                    peer,
-                }))
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn send(&mut self, peer: &Self::Peer, payload: &[u8]) -> io::Result<()> {
-        self.socket.send_to(payload, peer)?;
-        Ok(())
-    }
-}
-
-/// A load-generator client with one socket, spreading queries over the
-/// shard sockets it was given.
-pub struct UdpClient {
-    socket: UdpSocket,
-    shard_addrs: Vec<SocketAddr>,
-    buf: Box<[u8; MAX_DATAGRAM]>,
-}
-
-impl UdpClient {
-    /// Binds an ephemeral loopback client socket.
-    pub fn connect(shard_addrs: Vec<SocketAddr>) -> io::Result<UdpClient> {
-        assert!(!shard_addrs.is_empty(), "need at least one shard address");
-        let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-        Ok(UdpClient {
-            socket,
-            shard_addrs,
-            buf: Box::new([0; MAX_DATAGRAM]),
-        })
-    }
-}
-
-impl ClientTransport for UdpClient {
-    fn exchange(
-        &mut self,
-        shard: usize,
-        _server_ip: Ipv4Addr,
-        _resolver_ip: Ipv4Addr,
-        payload: &[u8],
-        timeout: Duration,
-    ) -> io::Result<Vec<u8>> {
-        let dest = self.shard_addrs[shard % self.shard_addrs.len()];
-        self.socket.send_to(payload, dest)?;
-        self.socket.set_read_timeout(Some(timeout))?;
-        loop {
-            let (n, from) = self.socket.recv_from(&mut self.buf[..]).map_err(|e| {
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) {
-                    io::Error::new(io::ErrorKind::TimedOut, "no response")
-                } else {
-                    e
-                }
-            })?;
-            // A straggler from a timed-out earlier exchange may arrive
-            // from a different shard; only accept the queried peer.
-            if from == dest {
-                return Ok(self.buf[..n].to_vec());
-            }
-        }
-    }
-
-    fn num_shards(&self) -> usize {
-        self.shard_addrs.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,6 +490,21 @@ mod tests {
         let (mut transports, _connector) = channel_transports(1);
         let got = transports[0].recv(Duration::from_millis(10)).unwrap();
         assert!(got.is_none());
+    }
+
+    #[test]
+    fn channel_recv_after_hangup_waits_out_the_timeout() {
+        let (mut transports, connector) = channel_transports(1);
+        drop(connector);
+        let timeout = Duration::from_millis(50);
+        let start = Instant::now();
+        let got = transports[0].recv(timeout).unwrap();
+        assert!(got.is_none());
+        assert!(
+            start.elapsed() >= timeout,
+            "a hung-up channel must not return early: {:?}",
+            start.elapsed()
+        );
     }
 
     /// A loopback ClientTransport answering every exchange with `[0xAA]`.
@@ -681,29 +589,5 @@ mod tests {
         let (outcomes, timeouts, servfails) = drive(FaultConfig::none(7), 200);
         assert!(outcomes.iter().all(|&o| o == 0));
         assert_eq!((timeouts, servfails), (0, 0));
-    }
-
-    #[test]
-    fn udp_round_trip_over_loopback() {
-        let mut server = UdpTransport::bind().unwrap();
-        let addr = server.local_addr().unwrap();
-        let mut client = UdpClient::connect(vec![addr]).unwrap();
-        let h = std::thread::spawn(move || {
-            let dg = server.recv(Duration::from_secs(2)).unwrap().unwrap();
-            assert_eq!(dg.payload, vec![7, 7]);
-            assert!(dg.server_ip.is_none());
-            server.send(&dg.peer, &[9]).unwrap();
-        });
-        let resp = client
-            .exchange(
-                0,
-                Ipv4Addr::UNSPECIFIED,
-                Ipv4Addr::UNSPECIFIED,
-                &[7, 7],
-                Duration::from_secs(2),
-            )
-            .unwrap();
-        assert_eq!(resp, vec![9]);
-        h.join().unwrap();
     }
 }

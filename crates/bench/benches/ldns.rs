@@ -68,23 +68,6 @@ fn bench_cache(c: &mut Criterion) {
     }
     group.finish();
 
-    // Flat-named twin of the 1024-entry case for scripts/bench_record.sh.
-    c.bench_function("ldns_cache_lookup_scoped_hit", |b| {
-        let mut cache = filled_cache(1_024, t0);
-        let client = Ipv4Addr::from(0x0B00_0000 | (512 << 8) | 7);
-        b.iter(|| {
-            cache
-                .lookup(
-                    &name("popular.cdn.example"),
-                    RrType::A,
-                    black_box(client),
-                    24,
-                    t0,
-                )
-                .is_some()
-        })
-    });
-
     c.bench_function("ldns_cache_insert_scoped", |b| {
         let mut cache = filled_cache(1_024, t0);
         let mut i = 0u32;

@@ -9,8 +9,8 @@
 //! sorts, and the solver re-runs over cached tables. The equivalence
 //! suite (`crates/mapping/tests/incremental_equiv.rs`) proves the two
 //! paths produce identical maps; this bench records what the identity
-//! costs. `scripts/bench_record.sh pr8` writes the numbers to
-//! BENCH_pr8.json.
+//! costs. (`bench/`'s `map_churn` re-measures both at paper scale as
+//! `mapping.rebuild_full_ms` / `mapping.rebuild_incr_ms`.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eum_bench::BENCH_SEED;

@@ -4,8 +4,7 @@
 //!
 //! The wire messages here match `dns_codec.rs` and the shard scenario
 //! matches `authd.rs`, so numbers are directly comparable with the
-//! allocating variants (and with the pre-change baselines recorded in
-//! `BENCH_pr3.json`).
+//! allocating variants.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eum_authd::{CacheConfig, QueryStages, ReplyCap, ServeOutcome, ShardState, SnapshotHandle};

@@ -52,6 +52,12 @@ use std::time::{Duration, Instant};
 /// Queries timed per arm to calibrate the offered arrival interval.
 const CALIBRATION_QUERIES: usize = 600;
 
+/// How long a throwaway server's shard waits on a quiet channel before
+/// re-checking its stop flag. An A/B run tears down four servers; at
+/// the serving default (20 ms) the teardowns alone would outlast the
+/// calibration they follow.
+const STOP_POLL: Duration = Duration::from_millis(1);
+
 /// The serving-side defenses an arm runs with.
 #[derive(Debug, Clone)]
 pub struct Defenses {
@@ -205,6 +211,7 @@ fn calibrate(world: &ChaosWorld, scenario: &ChaosScenario, defenses: &Defenses) 
     let (transports, connector) = channel_transports(1);
     let mut cfg =
         ServerConfig::new(world.top_ip).with_telemetry(TelemetryConfig::metrics(registry.clone()));
+    cfg.recv_timeout = STOP_POLL;
     if let Some(adm) = &defenses.admission {
         cfg = cfg.with_admission(if flood {
             AdmissionConfig::new(0, 1)
@@ -295,6 +302,7 @@ fn run_arm(
     let (transports, connector) = channel_transports(1);
     let mut cfg =
         ServerConfig::new(world.top_ip).with_telemetry(TelemetryConfig::metrics(registry.clone()));
+    cfg.recv_timeout = STOP_POLL;
     if let Some(adm) = &defenses.admission {
         cfg = cfg.with_admission(adm.clone());
     }

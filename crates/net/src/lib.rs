@@ -1,11 +1,11 @@
 //! eum-net: the kernel-batched socket transport for the authoritative
-//! serving stack.
+//! serving stack — the workspace's only socket code.
 //!
-//! The in-repo transports (`eum_authd::transport`) stop at one
-//! `recv_from` per datagram on one socket per shard. This crate closes
-//! the gap to how the paper's authoritative infrastructure actually
-//! meets its load (§3, §5.3: answering the full resolver population
-//! within tight latency budgets):
+//! `eum_authd::transport` defines the traits the shard loop is written
+//! against and an in-process channel substrate; everything that touches
+//! a kernel socket lives here, shaped by how the paper's authoritative
+//! infrastructure actually meets its load (§3, §5.3: answering the full
+//! resolver population within tight latency budgets):
 //!
 //! * [`udp::ReuseportUdpTransport`] — all shards share **one** UDP port
 //!   via `SO_REUSEPORT`; the kernel hashes each resolver's 4-tuple to a
@@ -15,7 +15,8 @@
 //! * [`tcp::TcpServerTransport`] — the DNS-over-TCP fallback (RFC 1035
 //!   §4.2.2): answers the server had to truncate (TC=1) under the
 //!   requester's UDP payload limit complete over a length-prefixed
-//!   stream. Plugs into the plain [`eum_authd::AuthServer::spawn`].
+//!   stream. Plugs into [`eum_authd::AuthServer::spawn`], which runs it
+//!   through the same shard loop as batches of one.
 //! * [`client::SocketClient`] — the matching
 //!   [`eum_authd::ClientTransport`]: UDP exchange plus the TCP retry
 //!   leg, so the load generator and the eum-ldns fleet drive real
@@ -31,9 +32,8 @@
 //!   the whole crate pinned by the eum-lint unsafe budget.
 //!
 //! On non-Linux targets (and under
-//! [`udp::BatchConfig::force_portable`], which doubles as the benchmark
-//! baseline) everything degrades to portable std socket calls with the
-//! same interfaces.
+//! [`udp::BatchConfig::force_portable`]) everything degrades to portable
+//! std socket calls with the same interfaces.
 
 pub mod client;
 pub mod http;

@@ -4,8 +4,9 @@
 //! size, the UDP path truncates it and stamps TC=1; the resolver then
 //! retries over TCP, where messages are framed by a two-byte big-endian
 //! length prefix and never size-capped. This listener implements
-//! authd's plain [`ServerTransport`] so one extra shard thread serves
-//! the (rare, by design) oversized answers: it accepts nonblocking
+//! authd's single-datagram [`ServerTransport`] so one extra shard thread
+//! (the same shard loop, fed batches of one) serves the (rare, by
+//! design) oversized answers: it accepts nonblocking
 //! connections, accumulates bytes per connection until a full frame
 //! arrives, and surfaces each frame as a `stream` datagram — which
 //! makes the server's [`eum_authd::ReplyCap`] logic skip truncation.

@@ -13,8 +13,8 @@
 //!
 //! A portable path (`recv_from`/`send_to` per datagram, first receive
 //! blocking with `SO_RCVTIMEO`, the rest drained nonblocking) serves
-//! non-Linux targets and, via [`BatchConfig::force_portable`], lets the
-//! batched-vs-single-syscall comparison run on one machine.
+//! non-Linux targets; [`BatchConfig::force_portable`] selects it on
+//! Linux too, so the gate exercises the path other platforms run.
 
 use eum_authd::{BatchDatagram, BatchServerTransport, MAX_DATAGRAM};
 use eum_telemetry::{Counter, Histogram, Registry};
@@ -34,7 +34,7 @@ pub struct BatchConfig {
     /// Pin shard `i`'s serving thread to CPU `i % available_parallelism`.
     pub pin_cpus: bool,
     /// Use the portable single-datagram path even where
-    /// `recvmmsg`/`sendmmsg` exist (the measurement baseline).
+    /// `recvmmsg`/`sendmmsg` exist (how a Linux gate tests it).
     pub force_portable: bool,
 }
 
@@ -314,6 +314,7 @@ impl BatchServerTransport for ReuseportUdpTransport {
             payload: &self.rbufs[start..start + self.rlens[i]],
             resolver_ip: *self.peers[i].ip(),
             server_ip: None,
+            stream: false,
         }
     }
 

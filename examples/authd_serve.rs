@@ -19,10 +19,10 @@
 use eum_authd::loadgen::{self, LoadGenConfig};
 use eum_authd::{
     channel_transports, AuthServer, ChannelClient, ServerConfig, SnapshotHandle, TelemetryConfig,
-    UdpClient, UdpTransport,
 };
 use eum_cdn::{deployment_universe, CatalogConfig, CdnPlatform, ContentCatalog, DeployConfig};
 use eum_mapping::{MappingConfig, MappingSystem};
+use eum_net::{BatchConfig, ReuseportUdpTransport, SocketClient};
 use eum_netmodel::{Internet, InternetConfig};
 use eum_telemetry::{Registry, Reporter, TraceRing};
 use std::net::Ipv4Addr;
@@ -178,14 +178,9 @@ fn run_udp_with_swap(
     tel: &TelemetryConfig,
     map2: MappingSystem,
 ) {
-    let mut transports = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..SHARDS {
-        let t = UdpTransport::bind().expect("bind loopback socket");
-        addrs.push(t.local_addr().expect("local addr"));
-        transports.push(t);
-    }
-    let server = AuthServer::spawn(
+    let (transports, addrs) = ReuseportUdpTransport::bind_shards(SHARDS, &BatchConfig::default())
+        .expect("bind loopback shards");
+    let server = AuthServer::spawn_batched(
         transports,
         snapshots.clone(),
         ServerConfig::new(low).with_telemetry(tel.clone()),
@@ -205,7 +200,7 @@ fn run_udp_with_swap(
         })
     };
     let report = loadgen::run(net, catalog, low, &loadgen_cfg(&tel.registry), |_| {
-        UdpClient::connect(addrs.clone()).expect("bind client socket")
+        SocketClient::connect(addrs.clone(), Vec::new()).expect("bind client socket")
     });
     let generation = publisher.join().expect("publisher thread");
     reporter.stop();

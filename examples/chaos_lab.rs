@@ -10,8 +10,8 @@
 //! defenses hold the 2x legit-goodput floor with a lower legit p99 and
 //! the shed counters fire).
 //!
-//! Full runs emit `RESULT mode=pr10 scenario=...` lines that
-//! `scripts/bench_record.sh pr10` parses into `BENCH_pr10.json`.
+//! Full runs also emit one machine-readable `RESULT mode=pr10
+//! scenario=...` line per scenario.
 
 use end_user_mapping::chaos::{run_ab, AbReport, ChaosScenario, ChaosWorld};
 use std::fs;

@@ -1,35 +1,29 @@
 //! Multi-process closed-loop load generation over real kernel sockets:
-//! the `SO_REUSEPORT` + `recvmmsg`/`sendmmsg` batched transport against
-//! the single-socket `recv_from` baseline, measured from separate client
-//! *processes* so the generator never shares an allocator, a scheduler
-//! run-queue decision, or a libc lock with the server it is measuring.
+//! the `SO_REUSEPORT` + `recvmmsg`/`sendmmsg` batched transport,
+//! measured from separate client *processes* so the generator never
+//! shares an allocator, a scheduler run-queue decision, or a libc lock
+//! with the server it is measuring.
 //!
-//!     cargo run --release --example socket_loadgen                   # comparison run
+//!     cargo run --release --example socket_loadgen                   # full-size run
 //!     cargo run --release --example socket_loadgen -- --smoke        # tiny CI check
 //!     cargo run --release --example socket_loadgen -- --scrape-smoke # live /metrics check
 //!
 //! The parent builds the seeded world, spawns the authoritative server
-//! in-process (batched shards sharing one UDP port, or the plain
-//! one-socket-per-shard baseline), then re-executes itself with
-//! `--worker`: each worker rebuilds the same deterministic world and
-//! drives a *windowed* closed loop — `window` sockets each keep one
-//! query in flight, so the shard sockets queue multi-datagram bursts and
-//! `recvmmsg` has real batches to harvest (a strict one-in-flight loop
-//! never forms a batch and measures only scheduler noise). Every reply
-//! is checked (matching ID, response bit) and every 16th fully decoded
-//! and verified (NOERROR, at least one A answer) so client-side decode
-//! cost does not drown the server-side syscall difference being
-//! measured; each worker prints one machine-readable line, the
-//! parent aggregates them into one `RESULT mode=...` line per
-//! configuration, and `scripts/bench_record.sh pr6` parses exactly those
-//! lines into `BENCH_pr6.json`.
-//!
-//! Worker demand streams differ per process; both configurations serve
-//! the same world, shard count, and query budget. On a single-core host
-//! the win is pure syscall arithmetic: a warm batch of N datagrams costs
-//! the server 2 kernel entries instead of 2N.
+//! in-process (batched shards sharing one UDP port), then re-executes
+//! itself with `--worker`: each worker rebuilds the same deterministic
+//! world and drives a *windowed* closed loop — `window` sockets each
+//! keep one query in flight, so the shard sockets queue multi-datagram
+//! bursts and `recvmmsg` has real batches to harvest (a strict
+//! one-in-flight loop never forms a batch and measures only scheduler
+//! noise). Every reply is checked (matching ID, response bit) and every
+//! 16th fully decoded and verified (NOERROR, at least one A answer) so
+//! client-side decode cost does not drown the server-side cost being
+//! measured; each worker prints one machine-readable line and the
+//! parent aggregates them into one `RESULT` line. The numbers of record
+//! come from `bench/` (`auth_hot`, `auth_miss`); this is the smoke that
+//! proves the multi-process socket path end to end.
 
-use eum_authd::{AuthServer, ServerConfig, SnapshotHandle, TelemetryConfig, UdpTransport};
+use eum_authd::{AuthServer, ServerConfig, SnapshotHandle, TelemetryConfig};
 use eum_cdn::{deployment_universe, CatalogConfig, CdnPlatform, ContentCatalog, DeployConfig};
 use eum_dns::edns::{EcsOption, OptData};
 use eum_dns::{decode_message, encode_message, Message, Question, Rcode};
@@ -74,14 +68,12 @@ fn world() -> (Internet, ContentCatalog, MappingSystem) {
     (net, catalog, map)
 }
 
-/// Run sizes: (queries per worker, in-flight window per worker,
-/// trials per mode — wall-clock noise on a shared host is filtered by
-/// taking each mode's best trial, the standard bench convention).
-fn sizes(smoke: bool) -> (usize, usize, usize) {
+/// Run sizes: (queries per worker, in-flight window per worker).
+fn sizes(smoke: bool) -> (usize, usize) {
     if smoke {
-        (200, 4, 1)
+        (200, 4)
     } else {
-        (8_000, 32, 5)
+        (8_000, 32)
     }
 }
 
@@ -271,45 +263,21 @@ fn run_workers(addrs: &[SocketAddr], queries: usize, window: usize) -> Vec<Worke
         .collect()
 }
 
-/// One mode's aggregated trial outcome.
-struct ModeResult {
-    qps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    ok: u64,
-    err: u64,
-    served: u64,
-}
-
-/// One full configuration trial: spawn the server, run the worker
-/// fleet, aggregate, print a `TRIAL` line.
-fn run_mode(mode: &str, smoke: bool) -> ModeResult {
-    let (queries, window, _) = sizes(smoke);
+/// The plain run: spawn the batched server, run the worker fleet,
+/// aggregate, print the `RESULT` line.
+fn run_load(smoke: bool) {
+    let (queries, window) = sizes(smoke);
+    println!(
+        "socket loadgen: {WORKERS} worker processes x {queries} queries \
+         (window {window}), {SHARDS} server shards{}",
+        if smoke { " (smoke)" } else { "" }
+    );
     let (_, _, map) = world();
     let low = map.ns_ips()[1];
-    let snapshots = SnapshotHandle::new(map);
-
-    let (server, addrs) = match mode {
-        "batched" => {
-            let (transports, addrs) =
-                ReuseportUdpTransport::bind_shards(SHARDS, &BatchConfig::default())
-                    .expect("bind reuseport shards");
-            let server = AuthServer::spawn_batched(transports, snapshots, ServerConfig::new(low));
-            (server, addrs)
-        }
-        "single" => {
-            let mut transports = Vec::new();
-            let mut addrs = Vec::new();
-            for _ in 0..SHARDS {
-                let t = UdpTransport::bind().expect("bind single socket");
-                addrs.push(t.local_addr().expect("local addr"));
-                transports.push(t);
-            }
-            let server = AuthServer::spawn(transports, snapshots, ServerConfig::new(low));
-            (server, addrs)
-        }
-        other => panic!("unknown mode {other}"),
-    };
+    let (transports, addrs) = ReuseportUdpTransport::bind_shards(SHARDS, &BatchConfig::default())
+        .expect("bind reuseport shards");
+    let server =
+        AuthServer::spawn_batched(transports, SnapshotHandle::new(map), ServerConfig::new(low));
 
     let results = run_workers(&addrs, queries, window);
     let reports = server.stop_join();
@@ -338,17 +306,9 @@ fn run_mode(mode: &str, smoke: bool) -> ModeResult {
     );
 
     println!(
-        "TRIAL mode={mode} qps={qps:.0} p50_us={p50:.1} p99_us={p99:.1} \
-         ok={ok} err={err} bad={bad} served={served}"
+        "RESULT qps={qps:.0} p50_us={p50:.1} p99_us={p99:.1} ok={ok} err={err} bad={bad} \
+         served={served} shards={SHARDS} workers={WORKERS} window={window}"
     );
-    ModeResult {
-        qps,
-        p50_us: p50,
-        p99_us: p99,
-        ok,
-        err,
-        served,
-    }
 }
 
 // ---------------------------------------------------------- scrape smoke
@@ -380,7 +340,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 /// if every mid-run and post-run scrape checks out; `scripts/check.sh`
 /// greps for that line.
 fn run_scrape_smoke() {
-    let (queries, window, _) = sizes(true);
+    let (queries, window) = sizes(true);
     let (_, _, map) = world();
     let low = map.ns_ips()[1];
 
@@ -487,37 +447,5 @@ fn main() {
         run_scrape_smoke();
         return;
     }
-    let smoke = args.first().map(String::as_str) == Some("--smoke");
-
-    let (queries, window, trials) = sizes(smoke);
-    println!(
-        "socket loadgen: {WORKERS} worker processes x {queries} queries \
-         (window {window}), {SHARDS} server shards, best of {trials}{}",
-        if smoke { " (smoke)" } else { "" }
-    );
-
-    // Interleave the trials so a slow system phase hits both modes, then
-    // keep each mode's best.
-    let mut best: [Option<ModeResult>; 2] = [None, None];
-    for _ in 0..trials {
-        for (slot, mode) in ["single", "batched"].into_iter().enumerate() {
-            let r = run_mode(mode, smoke);
-            if best[slot].as_ref().is_none_or(|b| r.qps > b.qps) {
-                best[slot] = Some(r);
-            }
-        }
-    }
-    let single = best[0].take().expect("single trials ran");
-    let batched = best[1].take().expect("batched trials ran");
-    for (mode, r) in [("single", &single), ("batched", &batched)] {
-        println!(
-            "RESULT mode={mode} qps={:.0} p50_us={:.1} p99_us={:.1} ok={} err={} served={} \
-             shards={SHARDS} workers={WORKERS} window={window}",
-            r.qps, r.p50_us, r.p99_us, r.ok, r.err, r.served
-        );
-    }
-    println!(
-        "COMPARE batched_over_single={:.2}",
-        batched.qps / single.qps.max(1e-9)
-    );
+    run_load(args.first().map(String::as_str) == Some("--smoke"));
 }
