@@ -12,12 +12,11 @@
 //! * [`wire`] — the binary codec with name compression;
 //! * [`edns`] — EDNS0 (RFC 6891) and the Client Subnet option (RFC 7871),
 //!   the enabler of end-user mapping (paper §2.1);
-//! * [`cache`] — the ECS-aware answer cache whose per-scope entries cause
-//!   the paper's §5.2 query amplification;
-//! * [`resolver`] — a caching recursive resolver (the LDNS) with
-//!   switchable ECS forwarding;
 //! * [`authority`] — the authoritative-server trait the mapping system
 //!   implements, plus a static-zone authority.
+//!
+//! The recursive resolver that speaks this protocol, and the ECS-scoped
+//! cache behind the paper's §5.2 query amplification, live in `eum-ldns`.
 //!
 //! ## Example: a resolution with ECS
 //!
@@ -36,21 +35,15 @@
 //! ```
 
 pub mod authority;
-pub mod cache;
 pub mod edns;
 pub mod message;
 pub mod name;
-pub mod resolver;
 pub mod wire;
 
 pub use authority::{Authority, QueryContext, StaticAuthority};
-pub use cache::{CacheStats, CachedAnswer, EcsCache};
 pub use edns::{EcsOption, EdnsOption, EdnsOptions, OptData};
 pub use message::{Flags, Message, Question, RData, Rcode, Record, RrType, SoaData};
 pub use name::{DnsName, NameError};
-pub use resolver::{
-    EcsMode, RecursiveResolver, Resolution, ResolverConfig, ResolverStats, Upstream,
-};
 pub use wire::{
     decode_message, decode_message_into, encode_message, encode_message_into, WireError,
 };

@@ -9,9 +9,11 @@
 //! semantics are deliberately identical to the authd-side cache and are
 //! checked against the same oracle in `tests/cache_prop.rs`.
 //!
-//! Three answer shapes share one table ([`AnswerBody`]):
+//! Four answer shapes share one table ([`AnswerBody`]):
 //!
-//! * **Addresses** — positive A answers, expiring at the record TTL.
+//! * **Addresses** — positive A answers, expiring at the record TTL; a
+//!   delegation is the same shape under `(zone, NS)`, holding the glue.
+//! * **Alias** — a CNAME: the name to restart the resolution on.
 //! * **Negative** — NXDOMAIN / NODATA per RFC 2308, expiring at the SOA
 //!   minimum (clamped by configuration).
 //! * **Failure** — upstream SERVFAIL or exhausted retries, cached for a
@@ -85,9 +87,12 @@ impl Default for LdnsCacheConfig {
 pub enum AnswerBody {
     /// Positive answer: the A records' addresses.
     Addresses(Vec<Ipv4Addr>),
+    /// The name is a CNAME for this one (boxed: a name is 256 bytes and
+    /// every slot holds a body).
+    Alias(Box<DnsName>),
     /// RFC 2308 negative answer (`NxDomain`, or `NoError` for NODATA).
     Negative(Rcode),
-    /// Upstream failure (SERVFAIL / retries exhausted), briefly cached.
+    /// Failure upstream (SERVFAIL / retries exhausted), briefly cached.
     Failure,
 }
 
@@ -246,6 +251,10 @@ impl IndexKey {
         }
     }
 
+    fn qtype_code(self) -> u64 {
+        self.rest >> 48
+    }
+
     /// The scope block's length, `None` for a global key.
     fn scope_len(self) -> Option<usize> {
         (((self.rest >> 32) & 0xFF) as usize).checked_sub(1)
@@ -351,7 +360,7 @@ impl ResolverCache {
         source_prefix: u8,
         now: Instant,
     ) -> Option<&CacheEntry> {
-        let name_hash = self.name_hash(qname);
+        let name_hash = self.name_hash(qname.wire());
         let mut hit = None;
         for len in (1..=source_prefix.min(32)).rev() {
             // lint: allow(serve-index) — len ≤ 32 by the loop bound; the table has 33 slots
@@ -359,13 +368,13 @@ impl ResolverCache {
                 continue;
             }
             let key = IndexKey::new(name_hash, qtype, Some(Prefix::of(client, len)));
-            hit = self.probe(key, qname, now);
+            hit = self.probe(key, qname.wire(), now);
             if hit.is_some() {
                 break;
             }
         }
         if hit.is_none() {
-            hit = self.probe(IndexKey::new(name_hash, qtype, None), qname, now);
+            hit = self.probe(IndexKey::new(name_hash, qtype, None), qname.wire(), now);
         }
         match hit {
             Some(id) => {
@@ -381,17 +390,50 @@ impl ResolverCache {
         }
     }
 
-    /// What [`IndexKey`] carries in place of `qname`.
-    fn name_hash(&self, qname: &DnsName) -> u64 {
-        self.index.hasher().hash_one(qname.wire())
+    /// The glue address of the deepest live delegation covering `qname`:
+    /// the `(zone, NS)` entry of `qname` itself, else of its nearest
+    /// ancestor that has one. One lookup, counted once.
+    pub fn delegation_for(&mut self, qname: &DnsName, now: Instant) -> Option<Ipv4Addr> {
+        // A name's wire form ends with the wire form of each ancestor, so
+        // the walk hashes and compares suffixes in place.
+        let mut zone = qname.wire();
+        let hit = loop {
+            let key = IndexKey::new(self.name_hash(zone), RrType::Ns, None);
+            if let Some(id) = self.probe(key, zone, now) {
+                break Some(id);
+            }
+            let Some((&label_len, rest)) = zone.split_first() else {
+                break None; // the root had none either
+            };
+            let Some(parent) = rest.get(usize::from(label_len)..) else {
+                break None;
+            };
+            zone = parent;
+        };
+        let glue = hit.and_then(|id| match &self.slot(id).entry.body {
+            AnswerBody::Addresses(ips) => ips.first().copied(),
+            _ => None,
+        });
+        // A delegation is a global (scope-0) entry.
+        match self.stats.hits_by_scope.first_mut() {
+            Some(global_hits) if glue.is_some() => *global_hits += 1,
+            _ => self.stats.misses += 1,
+        }
+        glue
     }
 
-    /// The slot under `key` when it holds `qname` and is still fresh; an
-    /// expired one is dropped on the spot.
-    fn probe(&mut self, key: IndexKey, qname: &DnsName, now: Instant) -> Option<u32> {
+    /// What [`IndexKey`] carries in place of the name whose wire form is
+    /// `wire`.
+    fn name_hash(&self, wire: &[u8]) -> u64 {
+        self.index.hasher().hash_one(wire)
+    }
+
+    /// The slot under `key` when it holds the name whose wire form is
+    /// `wire` and is still fresh; an expired one is dropped on the spot.
+    fn probe(&mut self, key: IndexKey, wire: &[u8], now: Instant) -> Option<u32> {
         let id = *self.index.get(&key)?;
         let slot = self.slot(id);
-        if slot.name != *qname {
+        if slot.name.wire() != wire {
             return None;
         }
         if slot.entry.expired(now) {
@@ -428,7 +470,7 @@ impl ResolverCache {
             self.remove(self.fifos[ORDER].head);
             self.stats.evictions += 1;
         }
-        let key = IndexKey::new(self.name_hash(&qname), qtype, scope_block);
+        let key = IndexKey::new(self.name_hash(qname.wire()), qtype, scope_block);
         let expires = entry.expires;
         let resident = self.index.get(&key).copied();
         let (id, generation) = match resident {
@@ -611,6 +653,17 @@ impl ResolverCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Entries held for `(qname, qtype)` across every scope block — the
+    /// per-name fan-out of the paper's §5.2. A diagnostic: scans the index.
+    pub fn entries_for(&self, qname: &DnsName, qtype: RrType) -> usize {
+        self.index
+            .iter()
+            .filter(|&(key, &id)| {
+                key.qtype_code() == u64::from(qtype.code()) && self.slot(id).name == *qname
+            })
+            .count()
     }
 
     /// Counters so far.

@@ -127,11 +127,11 @@ pub struct FleetReport {
     pub downstream_queries: u64,
     /// Downstream resolutions answered entirely from resolver caches.
     pub downstream_cache_hits: u64,
-    /// Upstream (authoritative-facing) queries sent, retries included.
+    /// Queries sent upstream (toward the authoritative), retries included.
     pub upstream_queries: u64,
-    /// Upstream attempts that timed out.
+    /// Attempts upstream that timed out.
     pub upstream_timeouts: u64,
-    /// Upstream SERVFAILs received.
+    /// SERVFAILs received from upstream.
     pub upstream_servfails: u64,
     /// Truncated (TC=1) answers retried over the stream (TCP) leg.
     pub upstream_tcp_retries: u64,

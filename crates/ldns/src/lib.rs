@@ -1,12 +1,12 @@
-//! `eum-ldns` — a recursive-resolver fleet closing the
+//! `eum-ldns` — the recursive resolver, and a fleet of them closing the
 //! client→LDNS→authoritative loop.
 //!
-//! The analytic simulator (`eum-dns`'s `RecursiveResolver`, `eum-sim`'s
-//! roll-out scenario) *estimates* what the world's LDNS population does
-//! to the CDN's authoritative load. This crate *measures* it: real
-//! resolver instances with real caches exchange RFC 1035 wire bytes with
-//! a live `eum-authd` over the same pluggable transports the load
-//! generator uses.
+//! One resolver implementation serves both ends of the reproduction:
+//! `eum-sim`'s roll-out scenario drives one [`Ldns`] per LDNS over its
+//! modelled network on a virtual clock (the paper's figures), and the
+//! fleet here drives the same [`Ldns`] against a live `eum-authd` over
+//! the pluggable transports the load generator uses (measured
+//! amplification).
 //!
 //! The pieces:
 //!
@@ -19,8 +19,8 @@
 //!   accounting split by scope length.
 //! * [`Ldns`] — one resolver: per-resolver [`EcsPolicy`] (off /
 //!   whitelist / always — the paper's staged public-resolver roll-out),
-//!   bounded upstream retries with timeouts, the two-level
-//!   delegation walk.
+//!   bounded upstream retries with timeouts, the iterative walk
+//!   (referrals, CNAME restarts, negative answers).
 //! * [`ResolverFleet`] — one [`Ldns`] per `eum-netmodel` resolver site,
 //!   replaying demand-weighted [`QueryPlan`]s across worker threads,
 //!   reporting measured amplification and scope-split hit ratios.

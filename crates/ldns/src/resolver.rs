@@ -1,21 +1,28 @@
-//! One recursive resolver over a real transport.
+//! The recursive resolver — the workspace's only one.
 //!
-//! Where `eum_dns::RecursiveResolver` is the *model* — an analytic
-//! resolver driven by a millisecond clock inside the simulator — this is
-//! the *system*: an LDNS instance that exchanges RFC 1035 wire bytes
-//! with a live `eum-authd` over any [`ClientTransport`] (in-process
-//! channels, loopback UDP, or a fault-injecting wrapper), owns an
-//! ECS-partitioned [`ResolverCache`] with timer-wheel expiry, and
-//! implements the paper's staged roll-out knob as a per-resolver
-//! [`EcsPolicy`]: off, whitelist-only (Google/OpenDNS sent ECS only to
-//! opted-in authorities), or always.
+//! An [`Ldns`] exchanges RFC 1035 wire bytes with authoritative servers
+//! over any [`ClientTransport`], owns an ECS-partitioned
+//! [`ResolverCache`] with timer-wheel expiry, and implements the paper's
+//! staged roll-out knob as a per-resolver [`EcsPolicy`]: off,
+//! whitelist-only (Google/OpenDNS sent ECS only to opted-in
+//! authorities), or always. What differs between its callers lives in
+//! the transport and the clock they hand it: the fleet resolves against a
+//! live `eum-authd` (in-process channels, sockets, or a fault-injecting
+//! wrapper) on wall or virtual time; the simulator resolves through
+//! `eum_sim::AuthNet`, which routes by server IP and adds up modelled
+//! round-trip times, at `epoch + virtual milliseconds`.
 //!
-//! A resolution follows the CDN's two-level hierarchy exactly as a real
-//! LDNS would: answer cache → cached delegation → top-level query
-//! (delegation, scope 0, long TTL) → low-level query (A answer, scoped
-//! when ECS is on). Upstream exchanges get bounded retries with a
-//! per-attempt timeout; exhausted retries and SERVFAILs are negatively
-//! cached (RFC 2308 §7), NXDOMAIN/NODATA honor the SOA minimum (§5).
+//! A resolution is one iterative walk, steered by the replies alone:
+//! probe the answer cache; on a miss ask the server of the deepest
+//! cached delegation (else the caller's start server) and then either
+//! take the A answer (scoped when ECS is on), restart on a CNAME's
+//! target, follow a referral through its glue (cached under the zone it
+//! delegates), or cache a negative answer. Against the CDN's two-level
+//! hierarchy that is top-level query (delegation, scope 0, long TTL) →
+//! low-level query; from a root it is root → provider CNAME → root → top
+//! → low. Exchanges upstream get bounded retries with a per-attempt
+//! timeout; exhausted retries and SERVFAILs are negatively cached (RFC
+//! 2308 §7), NXDOMAIN/NODATA honor the SOA minimum (§5).
 
 use crate::cache::{AnswerBody, CacheEntry, LdnsCacheConfig, ResolverCache};
 use eum_authd::ClientTransport;
@@ -65,7 +72,7 @@ pub struct LdnsConfig {
     /// Source prefix length announced when ECS is sent (/24 per the
     /// paper's privacy footnote).
     pub source_prefix: u8,
-    /// Upstream attempts per exchange before giving up (bounded fan-out).
+    /// Attempts per upstream exchange before giving up (bounded fan-out).
     pub attempts: u32,
     /// Per-attempt upstream timeout.
     pub upstream_timeout: Duration,
@@ -101,9 +108,9 @@ pub struct LdnsStats {
     /// Queries sent toward the authoritative (upstream), including
     /// retries.
     pub upstream_queries: u64,
-    /// Upstream attempts that timed out.
+    /// Attempts upstream that timed out.
     pub upstream_timeouts: u64,
-    /// Upstream SERVFAIL responses received.
+    /// SERVFAIL responses received from upstream.
     pub upstream_servfails: u64,
     /// Truncated (TC=1) answers retried over the stream (TCP) leg.
     /// Counted inside `upstream_queries` too — a retry is a query.
@@ -123,7 +130,7 @@ pub struct Resolved {
     pub rcode: Rcode,
     /// True when no upstream query was needed.
     pub from_cache: bool,
-    /// Upstream queries this resolution cost (retries included).
+    /// Queries upstream this resolution cost (retries included).
     pub upstream_queries: u32,
     /// Remaining TTL toward the client, seconds.
     pub ttl_s: u32,
@@ -148,14 +155,53 @@ struct UpstreamScratch {
     reply: Message,
 }
 
-/// What the top level said about a name.
-enum Delegation {
-    /// Glue address of the low-level NS to follow.
-    Found(Ipv4Addr),
-    /// Authoritative negative: the name does not exist (already cached).
-    Negative(u32),
-    /// No usable referral (transport failure or malformed response).
-    Failed,
+/// CNAME restarts one resolution may take (RFC 1034 §3.6.2 loops end
+/// here).
+const MAX_CNAME_CHASE: usize = 8;
+/// Servers one name's walk may ask, each but the last having referred it
+/// onward.
+const MAX_REFERRALS: usize = 8;
+
+/// The referral in `resp`, if it is one: a NOERROR reply with no answer
+/// whose authority section carries an NS record — without the NS record
+/// the same reply is NODATA (RFC 2308 §2.2). Yields the zone cut, the
+/// name of its server and the TTL.
+fn referral(resp: &Message) -> Option<(&DnsName, &DnsName, u32)> {
+    if resp.flags.rcode != Rcode::NoError || !resp.answers.is_empty() {
+        return None;
+    }
+    resp.authorities.iter().find_map(|r| match &r.rdata {
+        RData::Ns(ns_name) => Some((&r.name, ns_name, r.ttl)),
+        _ => None,
+    })
+}
+
+/// The address `resp`'s additional section gives for `ns_name`.
+fn glue_for(resp: &Message, ns_name: &DnsName) -> Option<Ipv4Addr> {
+    resp.additionals.iter().find_map(|g| match g.rdata {
+        RData::A(ip) if g.name == *ns_name => Some(ip),
+        _ => None,
+    })
+}
+
+/// Where the CNAME records in `resp`'s answer section lead from `name`;
+/// `None` when `name` owns none.
+fn cname_target<'m>(resp: &'m Message, name: &DnsName) -> Option<&'m DnsName> {
+    let cname_of = |owner: &DnsName| {
+        resp.answers.iter().find_map(|r| match &r.rdata {
+            RData::Cname(target) if r.name == *owner => Some(target),
+            _ => None,
+        })
+    };
+    let mut target = cname_of(name)?;
+    // One step per record at most, so a loop among them still ends.
+    for _ in 1..resp.answers.len() {
+        match cname_of(target) {
+            Some(next) => target = next,
+            None => break,
+        }
+    }
+    Some(target)
 }
 
 /// Per-resolution stage capture for sampled traces. Only filled while a
@@ -171,9 +217,10 @@ struct TraceStages {
     id_hint: u16,
     /// Answer-cache probe time.
     probe_ns: u64,
-    /// Delegation fetch (top-level exchange) time.
+    /// Time in exchanges that ended in a referral (the top level's).
     deleg_ns: u64,
-    /// Low-level answer exchange time (TCP retry leg included).
+    /// Time in every other exchange — the low level's answer (TCP retry
+    /// leg included).
     upstream_ns: u64,
     /// TCP retry leg alone.
     tcp_ns: u64,
@@ -252,25 +299,25 @@ impl Ldns {
         self.next_id
     }
 
-    /// Resolves `qname` (type A) on behalf of `client`, walking the
-    /// two-level authoritative hierarchy rooted at `top_ip` through
-    /// `transport` shard `shard`.
+    /// Resolves `qname` (type A) on behalf of `client` through
+    /// `transport` shard `shard`, starting any walk no cached delegation
+    /// covers at `start_ip` — the CDN's top level, or a root.
     pub fn resolve<C: ClientTransport>(
         &mut self,
         transport: &mut C,
         shard: usize,
-        top_ip: Ipv4Addr,
+        start_ip: Ipv4Addr,
         qname: &DnsName,
         client: Ipv4Addr,
         now: Instant,
     ) -> Resolved {
-        self.resolve_traced(transport, shard, top_ip, qname, client, now, 0)
+        self.resolve_traced(transport, shard, start_ip, qname, client, now, 0)
     }
 
     /// [`Ldns::resolve`] carrying a propagated trace id (0: untraced).
     /// When a ring is attached and its sampling picks this resolution, a
     /// [`TraceHop::Ldns`] record is pushed whose stage fields are the
-    /// cache probe, delegation fetch, upstream exchange and TCP-retry
+    /// cache probe, referral exchanges, answer exchange and TCP-retry
     /// times — and the id's low 16 bits become the first-attempt
     /// upstream DNS message id, so the authoritative's own ring records
     /// an id the span stitcher can join back to this record.
@@ -279,7 +326,7 @@ impl Ldns {
         &mut self,
         transport: &mut C,
         shard: usize,
-        top_ip: Ipv4Addr,
+        start_ip: Ipv4Addr,
         qname: &DnsName,
         client: Ipv4Addr,
         now: Instant,
@@ -291,7 +338,7 @@ impl Ldns {
                 .as_ref()
                 .is_some_and(|r| r.should_sample(self.stats.downstream_queries + 1));
         if !sampled {
-            return self.resolve_inner(transport, shard, top_ip, qname, client, now);
+            return self.resolve_inner(transport, shard, start_ip, qname, client, now);
         }
         self.tstages = TraceStages {
             timed: true,
@@ -300,7 +347,7 @@ impl Ldns {
         };
         let tc_before = self.stats.upstream_tcp_retries;
         let t0 = Instant::now();
-        let out = self.resolve_inner(transport, shard, top_ip, qname, client, now);
+        let out = self.resolve_inner(transport, shard, start_ip, qname, client, now);
         let total_ns = t0.elapsed().as_nanos() as u64;
         let st = self.tstages;
         self.tstages = TraceStages::default();
@@ -336,7 +383,7 @@ impl Ldns {
         &mut self,
         transport: &mut C,
         shard: usize,
-        top_ip: Ipv4Addr,
+        start_ip: Ipv4Addr,
         qname: &DnsName,
         client: Ipv4Addr,
         now: Instant,
@@ -345,152 +392,174 @@ impl Ldns {
         // Reap TTL-expired entries up to now; churn shows up in stats.
         self.cache.advance(now);
 
-        let ecs_on = self.cfg.ecs.sends_for(qname);
-        let lookup_prefix = if ecs_on { self.cfg.source_prefix } else { 0 };
-
-        let t_probe = self.tstages.timed.then(Instant::now);
-        let probe = self
-            .cache
-            .lookup(qname, RrType::A, client, lookup_prefix, now);
-        if let Some(t) = t_probe {
-            self.tstages.probe_ns += t.elapsed().as_nanos() as u64;
-        }
-        if let Some(hit) = probe {
-            let ttl_s = hit.remaining_ttl_s(now);
-            let out = match &hit.body {
-                AnswerBody::Addresses(ips) => Resolved {
-                    ips: ips.clone(),
-                    rcode: Rcode::NoError,
-                    from_cache: true,
-                    upstream_queries: 0,
-                    ttl_s,
-                },
-                AnswerBody::Negative(rcode) => Resolved {
-                    ips: Vec::new(),
-                    rcode: *rcode,
-                    from_cache: true,
-                    upstream_queries: 0,
-                    ttl_s,
-                },
-                AnswerBody::Failure => Resolved {
-                    ips: Vec::new(),
-                    rcode: Rcode::ServFail,
-                    from_cache: true,
-                    upstream_queries: 0,
-                    ttl_s,
-                },
-            };
-            self.stats.downstream_cache_hits += 1;
-            match out.rcode {
-                Rcode::NoError if out.ips.is_empty() => self.stats.negative_answers += 1,
-                Rcode::NxDomain => self.stats.negative_answers += 1,
-                _ => {}
-            }
-            return out;
-        }
-
         let mut upstream = 0u32;
-        // Both legs of the walk ask the same question; put it on the wire
-        // once.
-        self.encode_query(qname, client, ecs_on);
+        // The answer's TTL is capped by every CNAME it was reached through.
+        let mut ttl_cap = u32::MAX;
+        // The name being resolved: `qname`, then each CNAME target in turn.
+        let mut alias: Option<DnsName> = None;
+        for _ in 0..=MAX_CNAME_CHASE {
+            let name = alias.as_ref().unwrap_or(qname);
+            let ecs_on = self.cfg.ecs.sends_for(name);
+            let lookup_prefix = if ecs_on { self.cfg.source_prefix } else { 0 };
 
-        // Delegation: which low-level NS serves this name for us? The
-        // top level answers per resolver with scope 0, so the entry is
-        // global and long-lived.
-        let low_ip = match self.cache.lookup(qname, RrType::Ns, client, 0, now) {
-            Some(CacheEntry {
-                body: AnswerBody::Addresses(ips),
-                ..
-            }) => ips.first().copied(),
-            _ => None,
-        };
-        let low_ip = match low_ip {
-            Some(ip) => ip,
-            None => {
-                let t_deleg = self.tstages.timed.then(Instant::now);
-                let deleg =
-                    self.fetch_delegation(transport, shard, top_ip, qname, &mut upstream, now);
-                if let Some(t) = t_deleg {
-                    self.tstages.deleg_ns += t.elapsed().as_nanos() as u64;
+            let t_probe = self.tstages.timed.then(Instant::now);
+            let probe = self
+                .cache
+                .lookup(name, RrType::A, client, lookup_prefix, now);
+            if let Some(t) = t_probe {
+                self.tstages.probe_ns += t.elapsed().as_nanos() as u64;
+            }
+            if let Some(hit) = probe {
+                let ttl_s = hit.remaining_ttl_s(now).min(ttl_cap);
+                let (ips, rcode) = match &hit.body {
+                    AnswerBody::Alias(target) => {
+                        ttl_cap = ttl_s;
+                        alias = Some(DnsName::clone(target));
+                        continue;
+                    }
+                    AnswerBody::Addresses(ips) => (ips.clone(), Rcode::NoError),
+                    AnswerBody::Negative(rcode) => (Vec::new(), *rcode),
+                    AnswerBody::Failure => (Vec::new(), Rcode::ServFail),
+                };
+                if upstream == 0 {
+                    self.stats.downstream_cache_hits += 1;
                 }
-                match deleg {
-                    Delegation::Found(ip) => ip,
-                    Delegation::Negative(ttl_s) => {
+                if ips.is_empty() && rcode != Rcode::ServFail {
+                    self.stats.negative_answers += 1;
+                }
+                return Resolved {
+                    ips,
+                    rcode,
+                    from_cache: upstream == 0,
+                    upstream_queries: upstream,
+                    ttl_s,
+                };
+            }
+
+            // Every server on the walk is asked the same question; put it
+            // on the wire once.
+            self.encode_query(name, client, ecs_on);
+            // Start at the deepest zone cut already known. The CDN's top
+            // level delegates each name on its own (per resolver, scope 0,
+            // long TTL), so a name seen before goes straight to its
+            // low-level server.
+            let mut server = self.cache.delegation_for(name, now).unwrap_or(start_ip);
+            let mut target = None;
+            for _ in 0..MAX_REFERRALS {
+                let t_exchange = self.tstages.timed.then(Instant::now);
+                let answered = self.exchange(transport, shard, server, &mut upstream);
+                let resp = &self.upstream.reply;
+                let referred = if answered { referral(resp) } else { None };
+                if let Some(t) = t_exchange {
+                    let ns = t.elapsed().as_nanos() as u64;
+                    if referred.is_some() {
+                        self.tstages.deleg_ns += ns;
+                    } else {
+                        self.tstages.upstream_ns += ns;
+                    }
+                }
+                if !answered {
+                    return self.fail(name, upstream, now);
+                }
+                if let Some((zone, ns_name, ttl)) = referred {
+                    // Follow only a cut above the name, through its glue.
+                    let Some(glue) = glue_for(resp, ns_name).filter(|_| name.is_within(zone))
+                    else {
+                        return self.fail(name, upstream, now);
+                    };
+                    self.cache.insert(
+                        zone.clone(),
+                        RrType::Ns,
+                        None,
+                        CacheEntry::new(AnswerBody::Addresses(vec![glue]), 0, ttl.max(1), now),
+                    );
+                    server = glue;
+                    continue;
+                }
+                match resp.flags.rcode {
+                    Rcode::NoError if !resp.answers.is_empty() => {
+                        let ttl_s = resp.min_answer_ttl().unwrap_or(0).max(1);
+                        // RFC 7871 §7.3.1: partition by the announced
+                        // scope, clamped to the source we asked about;
+                        // scope 0 (or no ECS at all) makes the entry
+                        // global.
+                        let scope = resp
+                            .ecs()
+                            .map(|e| e.scope_prefix.min(e.source_prefix))
+                            .unwrap_or(0);
+                        let block = (ecs_on && scope > 0).then(|| Prefix::of(client, scope));
+                        let ips = resp.answer_ips();
+                        if !ips.is_empty() {
+                            self.cache.insert(
+                                name.clone(),
+                                RrType::A,
+                                block,
+                                CacheEntry::new(
+                                    AnswerBody::Addresses(ips.clone()),
+                                    scope,
+                                    ttl_s,
+                                    now,
+                                ),
+                            );
+                            return Resolved {
+                                ips,
+                                rcode: Rcode::NoError,
+                                from_cache: false,
+                                upstream_queries: upstream,
+                                ttl_s: ttl_s.min(ttl_cap),
+                            };
+                        }
+                        let Some(cname) = cname_target(resp, name) else {
+                            return self.fail(name, upstream, now);
+                        };
+                        let cname = cname.clone();
+                        self.cache.insert(
+                            name.clone(),
+                            RrType::A,
+                            block,
+                            CacheEntry::new(
+                                AnswerBody::Alias(Box::new(cname.clone())),
+                                scope,
+                                ttl_s,
+                                now,
+                            ),
+                        );
+                        ttl_cap = ttl_cap.min(ttl_s);
+                        target = Some(cname);
+                        break;
+                    }
+                    Rcode::NxDomain | Rcode::NoError => {
+                        // Negative answer (NXDOMAIN, or NODATA when
+                        // NoError with neither answer nor referral): RFC
+                        // 2308 caching.
+                        let rcode = resp.flags.rcode;
+                        let ttl_s = self.negative_ttl(resp);
+                        self.cache.insert(
+                            name.clone(),
+                            RrType::A,
+                            None,
+                            CacheEntry::new(AnswerBody::Negative(rcode), 0, ttl_s, now),
+                        );
                         self.stats.negative_answers += 1;
                         return Resolved {
                             ips: Vec::new(),
-                            rcode: Rcode::NxDomain,
+                            rcode,
                             from_cache: false,
                             upstream_queries: upstream,
                             ttl_s,
                         };
                     }
-                    Delegation::Failed => return self.fail(qname, upstream, now),
+                    _ => return self.fail(name, upstream, now),
                 }
             }
-        };
-
-        // Low level: the A answer, scoped when ECS is on.
-        let t_up = self.tstages.timed.then(Instant::now);
-        let answered = self.exchange(transport, shard, low_ip, &mut upstream);
-        if let Some(t) = t_up {
-            self.tstages.upstream_ns += t.elapsed().as_nanos() as u64;
-        }
-        if !answered {
-            return self.fail(qname, upstream, now);
-        }
-        let resp = &self.upstream.reply;
-        match resp.flags.rcode {
-            Rcode::NoError if !resp.answers.is_empty() => {
-                let ips = resp.answer_ips();
-                if ips.is_empty() {
-                    return self.fail(qname, upstream, now);
-                }
-                let ttl_s = resp.min_answer_ttl().unwrap_or(0).max(1);
-                // RFC 7871 §7.3.1: partition by the announced scope,
-                // clamped to the source we asked about; scope 0 (or no
-                // ECS at all) makes the entry global.
-                let scope = resp
-                    .ecs()
-                    .map(|e| e.scope_prefix.min(e.source_prefix))
-                    .unwrap_or(0);
-                let block = (ecs_on && scope > 0).then(|| Prefix::of(client, scope));
-                self.cache.insert(
-                    qname.clone(),
-                    RrType::A,
-                    block,
-                    CacheEntry::new(AnswerBody::Addresses(ips.clone()), scope, ttl_s, now),
-                );
-                Resolved {
-                    ips,
-                    rcode: Rcode::NoError,
-                    from_cache: false,
-                    upstream_queries: upstream,
-                    ttl_s,
-                }
+            match target {
+                Some(cname) => alias = Some(cname),
+                // Still being referred onward at the bound.
+                None => return self.fail(name, upstream, now),
             }
-            Rcode::NxDomain | Rcode::NoError => {
-                // Negative answer (NXDOMAIN, or NODATA when NoError with
-                // an empty answer section): RFC 2308 caching.
-                let rcode = resp.flags.rcode;
-                let ttl_s = self.negative_ttl(resp);
-                self.cache.insert(
-                    qname.clone(),
-                    RrType::A,
-                    None,
-                    CacheEntry::new(AnswerBody::Negative(rcode), 0, ttl_s, now),
-                );
-                self.stats.negative_answers += 1;
-                Resolved {
-                    ips: Vec::new(),
-                    rcode,
-                    from_cache: false,
-                    upstream_queries: upstream,
-                    ttl_s,
-                }
-            }
-            _ => self.fail(qname, upstream, now),
         }
+        // Still being aliased onward at the bound.
+        self.fail(alias.as_ref().unwrap_or(qname), upstream, now)
     }
 
     /// Encodes this resolution's upstream query — `qname` type A, with
@@ -510,58 +579,6 @@ impl Ldns {
             });
         }
         encode_message_into(query, wire);
-    }
-
-    /// Queries the top level for `qname`'s delegation, caching the glue
-    /// under `(qname, NS)` with the referral TTL.
-    fn fetch_delegation<C: ClientTransport>(
-        &mut self,
-        transport: &mut C,
-        shard: usize,
-        top_ip: Ipv4Addr,
-        qname: &DnsName,
-        upstream: &mut u32,
-        now: Instant,
-    ) -> Delegation {
-        if !self.exchange(transport, shard, top_ip, upstream) {
-            return Delegation::Failed;
-        }
-        let resp = &self.upstream.reply;
-        if resp.flags.rcode != Rcode::NoError {
-            // NXDOMAIN at the top is a real negative for the name.
-            if resp.flags.rcode == Rcode::NxDomain {
-                let ttl_s = self.negative_ttl(resp);
-                self.cache.insert(
-                    qname.clone(),
-                    RrType::A,
-                    None,
-                    CacheEntry::new(AnswerBody::Negative(Rcode::NxDomain), 0, ttl_s, now),
-                );
-                return Delegation::Negative(ttl_s);
-            }
-            return Delegation::Failed;
-        }
-        let referral = resp.authorities.iter().find_map(|r| match &r.rdata {
-            RData::Ns(target) => Some((target, r.ttl)),
-            _ => None,
-        });
-        let Some((ns_name, ttl)) = referral else {
-            return Delegation::Failed;
-        };
-        let glue = resp.additionals.iter().find_map(|g| match g.rdata {
-            RData::A(ip) if g.name == *ns_name => Some(ip),
-            _ => None,
-        });
-        let Some(glue) = glue else {
-            return Delegation::Failed;
-        };
-        self.cache.insert(
-            qname.clone(),
-            RrType::Ns,
-            None,
-            CacheEntry::new(AnswerBody::Addresses(vec![glue]), 0, ttl.max(1), now),
-        );
-        Delegation::Found(glue)
     }
 
     /// One upstream exchange of the encoded query with bounded retries:

@@ -9,10 +9,12 @@
 //!
 //! Run with: `cargo run --release -p eum-repro --bin ablations`
 
+use eum_authd::ClientTransport;
 use eum_cdn::{
     deployment_universe, CatalogConfig, CdnPlatform, ContentCatalog, ContentId, DeployConfig,
 };
-use eum_dns::{EcsMode, QueryContext, RecursiveResolver, ResolverConfig};
+use eum_dns::{decode_message, encode_message, OptData, QueryContext};
+use eum_ldns::{EcsPolicy, Ldns, LdnsConfig};
 use eum_mapping::{
     assign, LbAlgorithm, LocalLbPolicy, MapUnits, MappingConfig, MappingSystem, PingMatrix,
     PingTargets, ScoreBasis, ScoreTable, ScoringWeights, UnitId,
@@ -22,6 +24,9 @@ use eum_repro::SEED;
 use eum_sim::{AuthNet, QueryCounters};
 use eum_stats::Table;
 use std::collections::HashMap;
+use std::io;
+use std::net::Ipv4Addr;
+use std::time::{Duration, Instant};
 
 fn main() {
     println!("=== Ablations (seed {SEED:#x}) ===\n");
@@ -58,14 +63,42 @@ fn world(cfg_mapping: MappingConfig) -> (Internet, CdnPlatform, ContentCatalog, 
     (net, cdn, catalog, mapping)
 }
 
+/// The protocol-violating half of ablation 1: a transport that zeroes
+/// the ECS scope every reply announces, so the resolver behind it caches
+/// each answer per qname only, as if for all clients (RFC 7871 §7.3.1
+/// says otherwise).
+struct DropScopes<T>(T);
+
+impl<T: ClientTransport> ClientTransport for DropScopes<T> {
+    fn exchange(
+        &mut self,
+        shard: usize,
+        server_ip: Ipv4Addr,
+        resolver_ip: Ipv4Addr,
+        payload: &[u8],
+        timeout: Duration,
+    ) -> io::Result<Vec<u8>> {
+        let reply = self
+            .0
+            .exchange(shard, server_ip, resolver_ip, payload, timeout)?;
+        let mut msg = decode_message(&reply).expect("AuthNet encodes what it answers");
+        if let Some(mut ecs) = msg.ecs().copied() {
+            ecs.scope_prefix = 0;
+            msg.set_opt(OptData::with_ecs(ecs));
+        }
+        Ok(encode_message(&msg))
+    }
+
+    fn num_shards(&self) -> usize {
+        self.0.num_shards()
+    }
+}
+
 /// How many upstream queries one public LDNS sends, and how often the
 /// answer matches the client's own EU assignment, for `n` client blocks
-/// querying one domain within a TTL window.
-fn ldns_experiment(
-    resolver_cfg: ResolverConfig,
-    mapping_cfg: MappingConfig,
-    n: usize,
-) -> (u64, f64) {
+/// querying one domain within a TTL window. `honor_scopes: false` puts
+/// the resolver behind [`DropScopes`].
+fn ldns_experiment(honor_scopes: bool, mapping_cfg: MappingConfig, n: usize) -> (u64, f64) {
     let (net, cdn, catalog, mut mapping) = world(mapping_cfg);
     let latency = net.latency;
     let site = net
@@ -74,10 +107,13 @@ fn ldns_experiment(
         .find(|r| r.kind.is_public())
         .expect("public site exists")
         .clone();
-    let mut resolver = RecursiveResolver::new(site.ip, resolver_cfg);
+    let epoch = Instant::now();
+    let mut resolver = Ldns::new(LdnsConfig::new(site.ip, EcsPolicy::Always), epoch);
     let mut counters = QueryCounters::new();
     let domain = &catalog.domains[0];
-    // Static authorities are irrelevant: query the CDN name directly.
+    // Static authorities are irrelevant: ask a low-level name server for
+    // the CDN name directly (any of them answers for every unit).
+    let low_ip = mapping.ns_ips()[1];
     let static_auths = HashMap::new();
     let mut endpoints = HashMap::new();
     endpoints.insert(
@@ -105,11 +141,18 @@ fn ldns_experiment(
             latency: &latency,
             resolver_ep: site.endpoint(),
             resolver_is_public: true,
-            root_ip: mapping_root(&endpoints),
             counters: &mut counters,
             day: 0,
+            now_ms: i as u64,
+            elapsed_ms: 0.0,
         };
-        let res = resolver.resolve(&domain.cdn_name, b.client_ip(), i as u64, &mut authnet);
+        let now = epoch + Duration::from_millis(i as u64);
+        let (qname, client) = (&domain.cdn_name, b.client_ip());
+        let res = if honor_scopes {
+            resolver.resolve(&mut authnet, 0, low_ip, qname, client, now)
+        } else {
+            resolver.resolve(&mut DropScopes(authnet), 0, low_ip, qname, client, now)
+        };
         if res.ips.is_empty() {
             continue;
         }
@@ -127,12 +170,6 @@ fn ldns_experiment(
     (upstream, 100.0 * correct as f64 / total.max(1) as f64)
 }
 
-fn mapping_root(endpoints: &HashMap<std::net::Ipv4Addr, Endpoint>) -> std::net::Ipv4Addr {
-    // The experiment resolves CDN names only; any mapping NS works as the
-    // bootstrap (the resolver follows delegations from there).
-    *endpoints.keys().next().expect("endpoints exist")
-}
-
 fn ablation_cache_scope() {
     println!(
         "--- 1. ECS-aware cache vs qname-only cache (400 blocks, one public LDNS, one domain) ---"
@@ -143,11 +180,7 @@ fn ablation_cache_scope() {
         ("qname-only (ablation)", false),
     ] {
         let (q, pct) = ldns_experiment(
-            ResolverConfig {
-                ecs: EcsMode::On { source_prefix: 24 },
-                honor_ecs_scope: honor,
-                ..ResolverConfig::default()
-            },
+            honor,
             MappingConfig {
                 max_ping_targets: 200,
                 ..MappingConfig::default()
@@ -165,10 +198,7 @@ fn ablation_scope_floor() {
     let mut t = Table::new(["scope policy", "upstream queries (400 blocks)"]);
     for (label, floor) in [("floor /20", 20u8), ("always /24", 24)] {
         let (q, _) = ldns_experiment(
-            ResolverConfig {
-                ecs: EcsMode::On { source_prefix: 24 },
-                ..ResolverConfig::default()
-            },
+            true,
             MappingConfig {
                 scope_floor: floor,
                 max_ping_targets: 200,

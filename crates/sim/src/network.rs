@@ -1,20 +1,23 @@
 //! The simulated authoritative-DNS network.
 //!
-//! [`AuthNet`] implements the recursive resolver's [`Upstream`] transport:
-//! it carries wire-encoded queries from an LDNS to the authoritative
-//! server at a given IP — the mapping system's two-level name servers or
-//! a static authority (the root stand-in and content providers' own DNS) —
-//! charges the query one LDNS↔server RTT from the latency model, and
-//! meters per-day query counts at the mapping system's servers (the data
-//! behind Figures 2 and 23).
+//! [`AuthNet`] is the transport ([`ClientTransport`]) the simulator's
+//! resolvers exchange over: it carries wire-encoded queries from an LDNS
+//! to the authoritative server at a given IP — the mapping system's
+//! two-level name servers or a static authority (the root stand-in and
+//! content providers' own DNS) — charges each exchange one LDNS↔server
+//! RTT from the latency model, and meters per-day query counts at the
+//! mapping system's servers (the data behind Figures 2 and 23).
 
+use eum_authd::ClientTransport;
 use eum_dns::{decode_message, encode_message, Message, QueryContext, Rcode};
-use eum_dns::{Authority, DnsName, StaticAuthority, Upstream};
+use eum_dns::{Authority, StaticAuthority};
 use eum_mapping::MappingSystem;
 use eum_netmodel::{Endpoint, LatencyModel};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::io;
 use std::net::Ipv4Addr;
+use std::time::Duration;
 
 /// Per-day query counters at the mapping system's name servers.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -100,34 +103,36 @@ pub struct AuthNet<'a> {
     pub resolver_ep: Endpoint,
     /// Whether the querying LDNS is a public resolver (for metering).
     pub resolver_is_public: bool,
-    /// The root name server's IP.
-    pub root_ip: Ipv4Addr,
     /// Shared query counters.
     pub counters: &'a mut QueryCounters,
     /// Current day (for metering).
     pub day: u32,
+    /// Virtual time the resolution started at, milliseconds.
+    pub now_ms: u64,
+    /// Modelled round-trip time of the exchanges carried so far,
+    /// milliseconds — what the resolution cost the waiting client.
+    pub elapsed_ms: f64,
 }
 
-impl Upstream for AuthNet<'_> {
-    fn query(&mut self, server: Ipv4Addr, query: &[u8], now_ms: u64) -> (Vec<u8>, f64) {
-        let rtt = match self.endpoints.get(&server) {
+impl ClientTransport for AuthNet<'_> {
+    fn exchange(
+        &mut self,
+        _shard: usize,
+        server: Ipv4Addr,
+        _resolver_ip: Ipv4Addr,
+        query: &[u8],
+        _timeout: Duration,
+    ) -> io::Result<Vec<u8>> {
+        let sent_ms = self.now_ms + self.elapsed_ms as u64;
+        self.elapsed_ms += match self.endpoints.get(&server) {
             Some(sep) => self.latency.rtt_ms(&self.resolver_ep, sep),
             None => 100.0, // unroutable: timeout-ish flat cost
         };
-        let msg = match decode_message(query) {
-            Ok(m) => m,
-            Err(_) => {
-                // A malformed query gets a FORMERR with a zeroed id.
-                let empty = Message::response_to(
-                    &Message::query(0, eum_dns::Question::a(DnsName::root()), None),
-                    Rcode::FormErr,
-                );
-                return (encode_message(&empty), rtt);
-            }
-        };
+        let msg =
+            decode_message(query).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let ctx = QueryContext {
             resolver_ip: self.resolver_ep.ip,
-            now_ms,
+            now_ms: sent_ms,
         };
         let resp = if self.mapping.is_mapping_server(server) {
             self.counters.add_query(self.day, self.resolver_is_public);
@@ -138,11 +143,11 @@ impl Upstream for AuthNet<'_> {
                 None => Message::response_to(&msg, Rcode::ServFail),
             }
         };
-        (encode_message(&resp), rtt)
+        Ok(encode_message(&resp))
     }
 
-    fn referral_root(&mut self, _name: &DnsName) -> Ipv4Addr {
-        self.root_ip
+    fn num_shards(&self) -> usize {
+        1
     }
 }
 

@@ -202,7 +202,7 @@ pub struct FleetWindowStats {
     pub queries: u64,
     /// Downstream queries answered from resolver caches this window.
     pub cache_hits: u64,
-    /// Upstream (authoritative-facing) queries sent this window.
+    /// Queries sent upstream (toward the authoritative) this window.
     pub upstream: u64,
     /// Truncated answers retried over TCP this window (fleet side).
     pub tcp_retries: u64,

@@ -1,10 +1,10 @@
 //! Scenario assembly: one call builds the entire world of the paper.
 //!
 //! [`Scenario::build`] generates the synthetic Internet, the content
-//! catalog, the CDN deployment, the mapping system, one caching recursive
-//! resolver per LDNS, the content providers' own DNS (which CNAMEs their
-//! `www` names into the CDN domain, §2.2), and a root name server that
-//! glues the zones together. [`Scenario::run_rollout`] then replays the
+//! catalog, the CDN deployment, the mapping system, one recursive resolver
+//! ([`eum_ldns::Ldns`]) per LDNS, the content providers' own DNS (which
+//! CNAMEs their `www` names into the CDN domain, §2.2), and a root name
+//! server that glues the zones together. [`Scenario::run_rollout`] then replays the
 //! §4 timeline and returns the [`RolloutReport`].
 
 use crate::client::fetch_page;
@@ -22,17 +22,17 @@ use eum_authd::{
 use eum_cdn::{deployment_universe, CatalogConfig, CdnPlatform, ContentCatalog, DeployConfig};
 use eum_dns::name::name;
 use eum_dns::{
-    DnsName, EcsMode, EcsOption, Message, OptData, QueryContext, Question, RData, Rcode, Record,
-    RecursiveResolver, ResolverConfig, StaticAuthority,
+    DnsName, EcsOption, Message, OptData, QueryContext, Question, RData, Rcode, Record,
+    StaticAuthority,
 };
 use eum_geo::{GeoInfo, Prefix};
-use eum_ldns::{EcsPolicy, LdnsConfig, QueryPlan, ResolverFleet, RunConfig};
+use eum_ldns::{EcsPolicy, Ldns, LdnsConfig, QueryPlan, Resolved, ResolverFleet, RunConfig};
 use eum_mapping::{MappingConfig, MappingSystem};
 use eum_netmodel::{Endpoint, Internet, InternetConfig, ResolverId};
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Everything needed to build a scenario.
 #[derive(Debug, Clone)]
@@ -145,8 +145,10 @@ pub struct Scenario {
     pub cdn: CdnPlatform,
     /// The mapping system.
     pub mapping: MappingSystem,
-    /// One caching recursive resolver per LDNS (indexed by `ResolverId`).
-    pub resolvers: Vec<RecursiveResolver>,
+    /// One recursive resolver per LDNS (indexed by `ResolverId`).
+    pub resolvers: Vec<Ldns>,
+    /// The instant virtual millisecond 0 maps to on the resolvers' clocks.
+    epoch: Instant,
     /// Static authorities by server IP (root + provider DNS).
     pub static_auths: HashMap<Ipv4Addr, StaticAuthority>,
     /// Endpoints of all authoritative server IPs.
@@ -294,11 +296,18 @@ impl Scenario {
         root.delegate(name("cdn.example"), name("top.cdn.example"), top_ip, 86_400);
         static_auths.insert(root_ip, root);
 
-        // One caching recursive resolver per LDNS, ECS off initially.
-        let resolvers: Vec<RecursiveResolver> = net
+        // One recursive resolver per LDNS, ECS off initially. The modelled
+        // network loses nothing, so an exchange is tried once.
+        let epoch = Instant::now();
+        let resolvers: Vec<Ldns> = net
             .resolvers
             .iter()
-            .map(|r| RecursiveResolver::new(r.ip, ResolverConfig::default()))
+            .map(|r| {
+                let mut ldns = LdnsConfig::new(r.ip, EcsPolicy::Off);
+                ldns.source_prefix = cfg.rollout.ecs_source_prefix;
+                ldns.attempts = 1;
+                Ldns::new(ldns, epoch)
+            })
             .collect();
 
         // ECS-eligible public sites, in provider/site order.
@@ -316,11 +325,49 @@ impl Scenario {
             cdn,
             mapping,
             resolvers,
+            epoch,
             static_auths,
             endpoints,
             root_ip,
             ecs_eligible,
         }
+    }
+
+    /// Resolves `qname` for `client` through LDNS `ldns` at virtual time
+    /// `now_ms`, outside the roll-out timeline (queries reaching the
+    /// mapping system are metered into `counters` under day 0). Returns
+    /// the resolution and the modelled time its upstream exchanges took,
+    /// milliseconds.
+    pub fn resolve(
+        &mut self,
+        ldns: ResolverId,
+        qname: &DnsName,
+        client: Ipv4Addr,
+        now_ms: u64,
+        counters: &mut QueryCounters,
+    ) -> (Resolved, f64) {
+        let info = self.net.resolver(ldns);
+        let mut authnet = AuthNet {
+            mapping: &mut self.mapping,
+            static_auths: &self.static_auths,
+            endpoints: &self.endpoints,
+            latency: &self.net.latency,
+            resolver_ep: info.endpoint(),
+            resolver_is_public: info.kind.is_public(),
+            counters,
+            day: 0,
+            now_ms,
+            elapsed_ms: 0.0,
+        };
+        let resolved = self.resolvers[ldns.index()].resolve(
+            &mut authnet,
+            0,
+            self.root_ip,
+            qname,
+            client,
+            self.epoch + Duration::from_millis(now_ms),
+        );
+        (resolved, authnet.elapsed_ms)
     }
 
     /// Collects the NetSession client–LDNS dataset *through the protocol*
@@ -332,7 +379,6 @@ impl Scenario {
     /// (which reads the generator's ground truth); the two must agree —
     /// asserted by the `whoami_collection` integration test.
     pub fn collect_netsession_via_whoami(&mut self) -> PairDataset {
-        let latency = self.net.latency;
         let by_ip: HashMap<Ipv4Addr, eum_netmodel::ResolverId> =
             self.net.resolvers.iter().map(|r| (r.ip, r.id)).collect();
         let mut counters = QueryCounters::new();
@@ -346,28 +392,12 @@ impl Scenario {
                 if weight <= 0.0 {
                     continue;
                 }
-                let resolver_info = self.net.resolver(*rid).clone();
                 // whoami answers are TTL-0; space probes past the 1s
                 // minimum cache lifetime so each probe reaches the
                 // authority.
                 now_ms += 2_000;
-                let mut authnet = AuthNet {
-                    mapping: &mut self.mapping,
-                    static_auths: &self.static_auths,
-                    endpoints: &self.endpoints,
-                    latency: &latency,
-                    resolver_ep: resolver_info.endpoint(),
-                    resolver_is_public: resolver_info.kind.is_public(),
-                    root_ip: self.root_ip,
-                    counters: &mut counters,
-                    day: 0,
-                };
-                let res = self.resolvers[rid.index()].resolve(
-                    &whoami,
-                    block.client_ip(),
-                    now_ms,
-                    &mut authnet,
-                );
+                let (res, _) =
+                    self.resolve(*rid, &whoami, block.client_ip(), now_ms, &mut counters);
                 let Some(learned_ip) = res.ips.first() else {
                     continue;
                 };
@@ -427,6 +457,7 @@ impl Scenario {
             ref static_auths,
             ref endpoints,
             root_ip,
+            epoch,
             ref ecs_eligible,
             ..
         } = self;
@@ -446,22 +477,18 @@ impl Scenario {
             // ECS ramp: flip the first `k` eligible public sites on.
             let k = (rollout.ramp_fraction(day) * ecs_eligible.len() as f64).round() as usize;
             for (i, rid) in ecs_eligible.iter().enumerate() {
-                let mode = if i < k {
-                    EcsMode::On {
-                        source_prefix: rollout.ecs_source_prefix,
-                    }
+                let policy = if i < k {
+                    EcsPolicy::Always
                 } else {
-                    EcsMode::Off
+                    EcsPolicy::Off
                 };
-                resolvers[rid.index()].set_ecs(mode);
+                resolvers[rid.index()].set_policy(policy);
             }
             // §8 extension: broad ISP/enterprise adoption from a given day.
             if rollout.isp_ecs_day.is_some_and(|d| day >= d) {
                 for (i, r) in resolvers.iter_mut().enumerate() {
                     if !ecs_eligible.contains(&eum_netmodel::ResolverId(i as u32)) {
-                        r.set_ecs(EcsMode::On {
-                            source_prefix: rollout.ecs_source_prefix,
-                        });
+                        r.set_policy(EcsPolicy::Always);
                     }
                 }
             }
@@ -491,16 +518,20 @@ impl Scenario {
                     latency: &latency,
                     resolver_ep,
                     resolver_is_public: is_public,
-                    root_ip,
                     counters: &mut counters,
                     day,
+                    now_ms: t.ms(),
+                    elapsed_ms: 0.0,
                 };
                 let resolution = resolvers[view.ldns.index()].resolve(
+                    &mut authnet,
+                    0,
+                    root_ip,
                     &domain.www_name,
                     block.client_ip(),
-                    t.ms(),
-                    &mut authnet,
+                    epoch + Duration::from_millis(t.ms()),
                 );
+                let upstream_ms = authnet.elapsed_ms;
                 if resolution.rcode != Rcode::NoError || resolution.ips.is_empty() {
                     failed_views += 1;
                     continue;
@@ -512,7 +543,7 @@ impl Scenario {
                     continue;
                 }
                 let stub_rtt = latency.rtt_ms(&block.endpoint(), &resolver_ep);
-                let dns_ms = stub_rtt + resolution.elapsed_ms;
+                let dns_ms = stub_rtt + upstream_ms;
 
                 // HTTP fetch.
                 match fetch_page(cdn, catalog, &latency, block, view.domain, &resolution.ips) {

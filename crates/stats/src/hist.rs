@@ -1,26 +1,10 @@
-//! Histograms over linear or logarithmic bins.
+//! Weighted histograms over logarithmic bins.
 //!
 //! Figures 5 and 7 show "percent of client demand" per log-scaled
 //! client–LDNS-distance bin; [`Histogram`] with [`LogBins`] reproduces that
 //! view directly.
 
 use serde::{Deserialize, Serialize};
-
-/// A bin edge specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum Bins {
-    /// `count` equal-width bins spanning `[lo, hi)`.
-    Linear {
-        /// Lower edge of the first bin.
-        lo: f64,
-        /// Upper edge of the last bin.
-        hi: f64,
-        /// Number of bins.
-        count: usize,
-    },
-    /// Logarithmically spaced bins (see [`LogBins`]).
-    Log(LogBins),
-}
 
 /// Logarithmically spaced bins spanning `[lo, hi)` with `per_decade` bins
 /// per factor of ten. Values below `lo` are clamped into the first bin
@@ -84,23 +68,13 @@ pub struct Bar {
 /// A weighted histogram.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
-    bins: Bins,
+    bins: LogBins,
     weights: Vec<f64>,
     /// Weight of observations at/above the top edge.
     overflow: f64,
 }
 
 impl Histogram {
-    /// Creates a histogram with `count` linear bins over `[lo, hi)`.
-    pub fn linear(lo: f64, hi: f64, count: usize) -> Self {
-        assert!(hi > lo && count > 0, "invalid linear bins");
-        Histogram {
-            bins: Bins::Linear { lo, hi, count },
-            weights: vec![0.0; count],
-            overflow: 0.0,
-        }
-    }
-
     /// Creates a histogram with logarithmic bins.
     pub fn log(bins: LogBins) -> Self {
         assert!(
@@ -109,7 +83,7 @@ impl Histogram {
         );
         let n = bins.count();
         Histogram {
-            bins: Bins::Log(bins),
+            bins,
             weights: vec![0.0; n],
             overflow: 0.0,
         }
@@ -122,19 +96,7 @@ impl Histogram {
         if !value.is_finite() || weight <= 0.0 {
             return;
         }
-        let idx = match &self.bins {
-            Bins::Linear { lo, hi, count } => {
-                if value >= *hi {
-                    None
-                } else {
-                    let v = value.max(*lo);
-                    let w = (hi - lo) / *count as f64;
-                    Some((((v - lo) / w).floor() as usize).min(count - 1))
-                }
-            }
-            Bins::Log(lb) => lb.index(value),
-        };
-        match idx {
+        match self.bins.index(value) {
             Some(i) => self.weights[i] += weight,
             None => self.overflow += weight,
         }
@@ -158,13 +120,7 @@ impl Histogram {
             .iter()
             .enumerate()
             .map(|(i, w)| {
-                let (lo, hi) = match &self.bins {
-                    Bins::Linear { lo, hi, count } => {
-                        let width = (hi - lo) / *count as f64;
-                        (lo + i as f64 * width, lo + (i + 1) as f64 * width)
-                    }
-                    Bins::Log(lb) => lb.edges(i),
-                };
+                let (lo, hi) = self.bins.edges(i);
                 Bar {
                     lo,
                     hi,
@@ -179,26 +135,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_binning_places_values() {
-        let mut h = Histogram::linear(0.0, 10.0, 10);
-        h.add(0.5, 1.0);
-        h.add(9.99, 1.0);
-        h.add(10.0, 1.0); // overflow
-        let bars = h.bars();
-        assert_eq!(bars[0].weight, 1.0);
-        assert_eq!(bars[9].weight, 1.0);
-        assert_eq!(h.overflow_weight(), 1.0);
-        assert!((h.total_weight() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn below_range_clamps_into_first_bin() {
-        let mut h = Histogram::linear(5.0, 10.0, 5);
-        h.add(-100.0, 2.0);
-        assert_eq!(h.bars()[0].weight, 2.0);
-    }
 
     #[test]
     fn log_bins_have_geometric_edges() {
@@ -249,16 +185,10 @@ mod tests {
 
     #[test]
     fn bad_inputs_are_ignored() {
-        let mut h = Histogram::linear(0.0, 1.0, 2);
+        let mut h = Histogram::log(LogBins::paper_distance_miles());
         h.add(f64::NAN, 1.0);
-        h.add(0.5, 0.0);
-        h.add(0.5, -1.0);
+        h.add(50.0, 0.0);
+        h.add(50.0, -1.0);
         assert_eq!(h.total_weight(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid linear bins")]
-    fn linear_rejects_inverted_range() {
-        let _ = Histogram::linear(10.0, 0.0, 4);
     }
 }

@@ -5,15 +5,14 @@
 //!
 //! Run with: `cargo run --release --example ecs_cache_scaling`
 
-use end_user_mapping::dns::EcsMode;
+use end_user_mapping::ldns::EcsPolicy;
 use end_user_mapping::mapping::MapUnits;
 use end_user_mapping::sim::scenario::{Scenario, ScenarioConfig};
-use end_user_mapping::sim::{AuthNet, QueryCounters};
+use end_user_mapping::sim::QueryCounters;
 use end_user_mapping::stats::Table;
 
 fn main() {
     let mut world = Scenario::build(ScenarioConfig::tiny(0x5EED));
-    let latency = world.net.latency;
 
     // Part 1: mapping units (§5.1). How many units at each granularity?
     println!("mapping units per granularity (§5.1):");
@@ -53,7 +52,6 @@ fn main() {
         .find(|r| r.kind.is_public())
         .expect("world has public resolvers")
         .id;
-    let resolver_info = world.net.resolver(ldns_id).clone();
     let domain = world.catalog.domains[0].clone();
     let clients: Vec<_> = world
         .net
@@ -63,30 +61,14 @@ fn main() {
         .take(200)
         .collect();
 
-    let mut run = |ecs: EcsMode, epoch_ms: u64| -> (u64, usize) {
-        world.resolvers[ldns_id.index()].set_ecs(ecs);
+    let mut run = |ecs: EcsPolicy, epoch_ms: u64| -> (u64, usize) {
+        world.resolvers[ldns_id.index()].set_policy(ecs);
         let mut counters = QueryCounters::new();
         let before = world.resolvers[ldns_id.index()].stats().upstream_queries;
         for (i, client) in clients.iter().enumerate() {
-            let mut authnet = AuthNet {
-                mapping: &mut world.mapping,
-                static_auths: &world.static_auths,
-                endpoints: &world.endpoints,
-                latency: &latency,
-                resolver_ep: resolver_info.endpoint(),
-                resolver_is_public: true,
-                root_ip: world.root_ip,
-                counters: &mut counters,
-                day: 0,
-            };
             // All clients ask within one TTL window.
             let now = epoch_ms + i as u64;
-            let res = world.resolvers[ldns_id.index()].resolve(
-                &domain.www_name,
-                *client,
-                now,
-                &mut authnet,
-            );
+            let (res, _) = world.resolve(ldns_id, &domain.www_name, *client, now, &mut counters);
             assert!(!res.ips.is_empty());
         }
         let upstream = world.resolvers[ldns_id.index()].stats().upstream_queries - before;
@@ -100,9 +82,9 @@ fn main() {
         "\ncache behaviour for {} clients of one public LDNS, one domain (§5.2):",
         clients.len()
     );
-    let (q_off, e_off) = run(EcsMode::Off, 0);
+    let (q_off, e_off) = run(EcsPolicy::Off, 0);
     println!("  ECS off: {q_off:>4} upstream queries, {e_off:>4} cache entries for the domain");
-    let (q_on, e_on) = run(EcsMode::On { source_prefix: 24 }, 400_000_000);
+    let (q_on, e_on) = run(EcsPolicy::Always, 400_000_000);
     println!("  ECS on:  {q_on:>4} upstream queries, {e_on:>4} cache entries for the domain");
     println!(
         "  amplification: {:.1}x queries — the paper measured 8x across all public resolvers",

@@ -44,7 +44,7 @@ fn main() {
     // The measured-vs-analytic amplification table: after the timeline
     // completes the scenario replays one demand-weighted query plan
     // through a live eum-ldns resolver fleet against a real eum-authd
-    // (ECS off everywhere, then the post-roll-out policy). Upstream
+    // (ECS off everywhere, then the post-roll-out policy). The upstream
     // counts are measured; the analytic column is the cache-key
     // set-counting estimate the simulator reasons with.
     let fleet = &report.fleet;

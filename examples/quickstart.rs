@@ -5,9 +5,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use end_user_mapping::dns::{EcsMode, QueryContext};
+use end_user_mapping::ldns::EcsPolicy;
 use end_user_mapping::sim::scenario::{Scenario, ScenarioConfig};
-use end_user_mapping::sim::{AuthNet, QueryCounters};
+use end_user_mapping::sim::QueryCounters;
 
 fn main() {
     // One call builds the synthetic Internet, the CDN, the mapping
@@ -46,34 +46,23 @@ fn main() {
         block.loc.distance_miles(&resolver_info.loc),
     );
 
-    let domain = &world.catalog.domains[0];
+    let domain = world.catalog.domains[0].clone();
     println!(
         "resolving {} (CNAME -> {})",
         domain.www_name, domain.cdn_name
     );
 
-    let latency = world.net.latency;
     let mut counters = QueryCounters::new();
 
     // Resolve once with ECS off (traditional NS-based mapping)…
-    let mut run = |ecs: EcsMode, now_ms: u64| {
-        world.resolvers[ldns.index()].set_ecs(ecs);
-        let mut authnet = AuthNet {
-            mapping: &mut world.mapping,
-            static_auths: &world.static_auths,
-            endpoints: &world.endpoints,
-            latency: &latency,
-            resolver_ep: resolver_info.endpoint(),
-            resolver_is_public: true,
-            root_ip: world.root_ip,
-            counters: &mut counters,
-            day: 0,
-        };
-        let res = world.resolvers[ldns.index()].resolve(
+    let mut run = |ecs: EcsPolicy, now_ms: u64| {
+        world.resolvers[ldns.index()].set_policy(ecs.clone());
+        let (res, elapsed_ms) = world.resolve(
+            ldns,
             &domain.www_name,
             block.client_ip(),
             now_ms,
-            &mut authnet,
+            &mut counters,
         );
         let server_ip = res.ips[0];
         let cluster = world
@@ -85,7 +74,7 @@ fn main() {
             "  {:?}: {} upstream queries, {:.0} ms DNS; answer {:?} -> cluster {} ({:.0} miles from client)",
             ecs,
             res.upstream_queries,
-            res.elapsed_ms,
+            elapsed_ms,
             res.ips,
             world.cdn.cluster(cluster).name,
             block.loc.distance_miles(&loc),
@@ -93,15 +82,11 @@ fn main() {
     };
 
     println!("\nNS-based mapping (no client subnet):");
-    run(EcsMode::Off, 0);
+    run(EcsPolicy::Off, 0);
     // …then with ECS on, using a fresh cache epoch so the scoped answer
     // is actually fetched (a day later, long past every TTL).
     println!("end-user mapping (ECS /24):");
-    run(EcsMode::On { source_prefix: 24 }, 200_000_000);
+    run(EcsPolicy::Always, 200_000_000);
 
-    let _ = QueryContext {
-        resolver_ip: resolver_info.ip,
-        now_ms: 0,
-    };
     println!("\nThe ECS answer maps the client near itself rather than near its LDNS.");
 }

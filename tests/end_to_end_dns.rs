@@ -1,61 +1,45 @@
 //! Integration: the full DNS resolution path across all crates — client →
-//! LDNS (eum-dns) → root/static authorities (eum-sim glue) → mapping
+//! LDNS (eum-ldns) → root/static authorities (eum-sim glue) → mapping
 //! system's two-level hierarchy (eum-mapping) → CDN servers (eum-cdn) on
 //! the synthetic Internet (eum-netmodel).
 
-use end_user_mapping::dns::{EcsMode, Rcode};
+use end_user_mapping::dns::Rcode;
+use end_user_mapping::ldns::{EcsPolicy, Resolved};
 use end_user_mapping::sim::scenario::{Scenario, ScenarioConfig};
-use end_user_mapping::sim::{AuthNet, QueryCounters};
+use end_user_mapping::sim::QueryCounters;
 
 fn world() -> Scenario {
     Scenario::build(ScenarioConfig::tiny(0xE2E))
 }
 
 /// Resolves `domain_idx`'s www name for `block_idx`'s representative
-/// client via `ldns`, returning (resolution, counters).
+/// client via its primary LDNS, returning (resolution, modelled upstream
+/// time in ms, counters).
 fn resolve(
     world: &mut Scenario,
     block_idx: usize,
     domain_idx: usize,
     now_ms: u64,
-) -> (end_user_mapping::dns::Resolution, QueryCounters) {
-    let block = world.net.blocks[block_idx].clone();
-    let ldns = block.primary_ldns();
-    let resolver_info = world.net.resolver(ldns).clone();
-    let latency = world.net.latency;
+) -> (Resolved, f64, QueryCounters) {
+    let block = &world.net.blocks[block_idx];
+    let (ldns, client) = (block.primary_ldns(), block.client_ip());
+    let www = world.catalog.domains[domain_idx].www_name.clone();
     let mut counters = QueryCounters::new();
-    let domain = world.catalog.domains[domain_idx].clone();
-    let mut authnet = AuthNet {
-        mapping: &mut world.mapping,
-        static_auths: &world.static_auths,
-        endpoints: &world.endpoints,
-        latency: &latency,
-        resolver_ep: resolver_info.endpoint(),
-        resolver_is_public: resolver_info.kind.is_public(),
-        root_ip: world.root_ip,
-        counters: &mut counters,
-        day: 0,
-    };
-    let res = world.resolvers[ldns.index()].resolve(
-        &domain.www_name,
-        block.client_ip(),
-        now_ms,
-        &mut authnet,
-    );
-    (res, counters)
+    let (res, elapsed_ms) = world.resolve(ldns, &www, client, now_ms, &mut counters);
+    (res, elapsed_ms, counters)
 }
 
 #[test]
 fn cold_resolution_traverses_the_whole_hierarchy() {
     let mut w = world();
-    let (res, counters) = resolve(&mut w, 0, 0, 0);
+    let (res, elapsed_ms, counters) = resolve(&mut w, 0, 0, 0);
     assert_eq!(res.rcode, Rcode::NoError);
     assert_eq!(res.ips.len(), 2, "the CDN returns two server IPs");
     assert!(!res.from_cache);
     // Cold path: root (provider referral) + provider CNAME + root (cdn
     // referral) + top-level (delegation) + low-level (A) = 5 queries.
     assert_eq!(res.upstream_queries, 5);
-    assert!(res.elapsed_ms > 0.0);
+    assert!(elapsed_ms > 0.0);
     // Two of those queries hit the mapping system.
     let (_, total, _, _) = counters.rows()[0];
     assert_eq!(total, 2);
@@ -64,7 +48,7 @@ fn cold_resolution_traverses_the_whole_hierarchy() {
 #[test]
 fn answered_servers_are_live_cdn_servers_in_one_cluster() {
     let mut w = world();
-    let (res, _) = resolve(&mut w, 0, 0, 0);
+    let (res, _, _) = resolve(&mut w, 0, 0, 0);
     let clusters: Vec<_> = res
         .ips
         .iter()
@@ -86,8 +70,8 @@ fn answered_servers_are_live_cdn_servers_in_one_cluster() {
 #[test]
 fn warm_resolution_is_free_and_identical() {
     let mut w = world();
-    let (cold, _) = resolve(&mut w, 0, 0, 0);
-    let (warm, counters) = resolve(&mut w, 0, 0, 60_000);
+    let (cold, _, _) = resolve(&mut w, 0, 0, 0);
+    let (warm, _, counters) = resolve(&mut w, 0, 0, 60_000);
     assert!(warm.from_cache);
     assert_eq!(warm.upstream_queries, 0);
     assert_eq!(warm.ips, cold.ips, "cached answer must match");
@@ -112,7 +96,7 @@ fn different_clients_of_one_ecs_ldns_get_scoped_answers() {
         })
         .expect("public resolver exists")
         .id;
-    w.resolvers[ldns.index()].set_ecs(EcsMode::On { source_prefix: 24 });
+    w.resolvers[ldns.index()].set_policy(EcsPolicy::Always);
     let clients: Vec<usize> = w
         .net
         .blocks
@@ -127,30 +111,12 @@ fn different_clients_of_one_ecs_ldns_get_scoped_answers() {
         "need at least two client blocks on this LDNS"
     );
 
-    let latency = w.net.latency;
-    let resolver_info = w.net.resolver(ldns).clone();
     let domain = w.catalog.domains[0].clone();
     let mut upstream_total = 0;
     for (k, bi) in clients.iter().enumerate() {
-        let block = w.net.blocks[*bi].clone();
+        let client = w.net.blocks[*bi].client_ip();
         let mut counters = QueryCounters::new();
-        let mut authnet = AuthNet {
-            mapping: &mut w.mapping,
-            static_auths: &w.static_auths,
-            endpoints: &w.endpoints,
-            latency: &latency,
-            resolver_ep: resolver_info.endpoint(),
-            resolver_is_public: true,
-            root_ip: w.root_ip,
-            counters: &mut counters,
-            day: 0,
-        };
-        let res = w.resolvers[ldns.index()].resolve(
-            &domain.www_name,
-            block.client_ip(),
-            k as u64,
-            &mut authnet,
-        );
+        let (res, _) = w.resolve(ldns, &domain.www_name, client, k as u64, &mut counters);
         assert_eq!(res.rcode, Rcode::NoError);
         upstream_total += res.upstream_queries;
     }
@@ -170,27 +136,15 @@ fn different_clients_of_one_ecs_ldns_get_scoped_answers() {
 #[test]
 fn unknown_domain_resolves_to_nxdomain_through_the_chain() {
     let mut w = world();
-    let block = w.net.blocks[0].clone();
-    let ldns = block.primary_ldns();
-    let resolver_info = w.net.resolver(ldns).clone();
-    let latency = w.net.latency;
+    let block = &w.net.blocks[0];
+    let (ldns, client) = (block.primary_ldns(), block.client_ip());
     let mut counters = QueryCounters::new();
-    let mut authnet = AuthNet {
-        mapping: &mut w.mapping,
-        static_auths: &w.static_auths,
-        endpoints: &w.endpoints,
-        latency: &latency,
-        resolver_ep: resolver_info.endpoint(),
-        resolver_is_public: false,
-        root_ip: w.root_ip,
-        counters: &mut counters,
-        day: 0,
-    };
-    let res = w.resolvers[ldns.index()].resolve(
+    let (res, _) = w.resolve(
+        ldns,
         &"www.never-hosted.example".parse().unwrap(),
-        block.client_ip(),
+        client,
         0,
-        &mut authnet,
+        &mut counters,
     );
     assert_eq!(res.rcode, Rcode::NxDomain);
     assert!(res.ips.is_empty());

@@ -3,29 +3,14 @@
 //! chosen server is live" requirement, §1).
 
 use end_user_mapping::sim::scenario::{Scenario, ScenarioConfig};
-use end_user_mapping::sim::{fetch_page, AuthNet, QueryCounters};
+use end_user_mapping::sim::{fetch_page, QueryCounters};
 
 fn resolve_ips(w: &mut Scenario, block_idx: usize, now_ms: u64) -> Vec<std::net::Ipv4Addr> {
-    let block = w.net.blocks[block_idx].clone();
-    let ldns = block.primary_ldns();
-    let resolver_info = w.net.resolver(ldns).clone();
-    let latency = w.net.latency;
+    let block = &w.net.blocks[block_idx];
+    let (ldns, client) = (block.primary_ldns(), block.client_ip());
+    let www = w.catalog.domains[0].www_name.clone();
     let mut counters = QueryCounters::new();
-    let domain = w.catalog.domains[0].clone();
-    let mut authnet = AuthNet {
-        mapping: &mut w.mapping,
-        static_auths: &w.static_auths,
-        endpoints: &w.endpoints,
-        latency: &latency,
-        resolver_ep: resolver_info.endpoint(),
-        resolver_is_public: resolver_info.kind.is_public(),
-        root_ip: w.root_ip,
-        counters: &mut counters,
-        day: 0,
-    };
-    w.resolvers[ldns.index()]
-        .resolve(&domain.www_name, block.client_ip(), now_ms, &mut authnet)
-        .ips
+    w.resolve(ldns, &www, client, now_ms, &mut counters).0.ips
 }
 
 #[test]

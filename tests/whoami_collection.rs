@@ -36,7 +36,7 @@ fn whoami_probes_work_with_ecs_enabled() {
     // must not change what whoami reports.
     let mut world = Scenario::build(ScenarioConfig::tiny(0x77B));
     for r in &mut world.resolvers {
-        r.set_ecs(end_user_mapping::dns::EcsMode::On { source_prefix: 24 });
+        r.set_policy(end_user_mapping::ldns::EcsPolicy::Always);
     }
     let truth = PairDataset::collect(&world.net);
     let probed = world.collect_netsession_via_whoami();
