@@ -19,9 +19,10 @@
 //!    clear — if the generation changed since the last batch),
 //! 3. for each query, decodes into the shard's persistent [`Message`]
 //!    scratch and consults the ECS-aware cache — a hit memcpys the stored
-//!    wire bytes and patches them in place; a miss computes through
-//!    [`eum_mapping::MappingSystem::answer`] and encodes into the reused
-//!    reply buffer — then stages the reply buffer with the transport,
+//!    wire bytes and patches them in place; a miss takes one
+//!    [`eum_mapping::MappingSystem::decide_reply`], renders it straight
+//!    into the cache slot the answer will live in and then replays that
+//!    slot like a hit — then stages the reply buffer with the transport,
 //! 4. flushes the staged replies.
 //!
 //! Malformed packets get a FORMERR when the header is intact (so the ID
@@ -37,7 +38,7 @@ use crate::transport::{
     BatchDatagram, BatchServerTransport, Datagram, ServerTransport, MAX_DATAGRAM,
 };
 use crate::truncate::truncate_in_place;
-use eum_dns::{decode_message_into, encode_message_into, DnsName, Message, QueryContext, Rcode};
+use eum_dns::{decode_message_into, DnsName, Message, QueryContext, Rcode};
 use eum_geo::Prefix;
 use eum_telemetry::{QueryTrace, TraceHop, TraceOutcome, TraceRing};
 use std::io;
@@ -289,10 +290,10 @@ pub struct QueryStages {
     /// Cache probe time; on a hit this includes the replay (probe plus
     /// patch together are "what the cache saved us").
     pub cache_ns: u64,
-    /// Snapshot-routing time on a miss.
+    /// Snapshot-routing time on a miss: the mapping decision.
     pub route_ns: u64,
-    /// Wire-encode time on a miss (a hit writes the reply during the
-    /// cache stage).
+    /// Time on a miss to render the decision into its cache slot and
+    /// replay it (a hit writes the reply during the cache stage).
     pub encode_ns: u64,
     /// How the query was resolved.
     pub outcome: TraceOutcome,
@@ -336,11 +337,14 @@ pub enum ServeOutcome {
 
 /// The buffers a shard reuses across queries. `query` keeps its section
 /// `Vec`s' capacity between decodes; `reply` keeps its bytes' capacity
-/// between encodes/replays — after warm-up neither touches the allocator.
-#[derive(Default)]
+/// between replays; `uncached` is the entry answers that are not to be
+/// kept (whoami, errors, scope-0 ECS fallbacks, a disabled cache) are
+/// rendered into and replayed from — after warm-up none touches the
+/// allocator.
 pub struct ScratchBuffers {
     query: Message,
     reply: Vec<u8>,
+    uncached: CachedAnswer,
 }
 
 /// Everything one shard owns: scratch buffers, the answer cache, and the
@@ -360,7 +364,11 @@ impl ShardState {
     /// disables it).
     pub fn new(cache: Option<CacheConfig>) -> ShardState {
         ShardState {
-            scratch: ScratchBuffers::default(),
+            scratch: ScratchBuffers {
+                query: Message::empty(),
+                reply: Vec::new(),
+                uncached: CachedAnswer::empty(Instant::now()),
+            },
             cache: cache.map(AnswerCache::new),
             admission: None,
             gen: None,
@@ -410,12 +418,12 @@ impl ShardState {
     }
 
     /// Serves one datagram end to end: decode into the shard scratch,
-    /// consult the cache, compute-and-encode or replay-and-patch into the
-    /// reply buffer, and truncate to `cap`'s effective limit when the
-    /// reply overflows it (RFC 2181 §9 — whole records dropped, TC set).
-    /// Requires a prior [`ShardState::observe`] call for the snapshot
-    /// `map` came from. Allocation-free on the cached-hit path once the
-    /// buffers are warm, truncation included.
+    /// consult the cache, on a miss decide and render into a cache slot,
+    /// replay-and-patch into the reply buffer, and truncate to `cap`'s
+    /// effective limit when the reply overflows it (RFC 2181 §9 — whole
+    /// records dropped, TC set). Requires a prior [`ShardState::observe`]
+    /// call for the snapshot `map` came from. Allocation-free, hit or
+    /// miss, once the buffers are warm — truncation included.
     pub fn serve(
         &mut self,
         map: &eum_mapping::MappingSystem,
@@ -428,7 +436,11 @@ impl ShardState {
         // lint: allow(serve-panic) — API precondition, documented on serve(); every
         // caller observes the snapshot first
         let gen = self.gen.as_ref().expect("observe() must precede serve()");
-        let ScratchBuffers { query, reply } = &mut self.scratch;
+        let ScratchBuffers {
+            query,
+            reply,
+            uncached,
+        } = &mut self.scratch;
 
         let t_decode = stages.timed.then(Instant::now);
         if decode_message_into(payload, query).is_err() {
@@ -451,77 +463,52 @@ impl ShardState {
             now_ms: 0,
         };
 
-        // Only single-question catalog-name queries are memoizable (the
-        // cached wire echoes the question section verbatim): whoami is
-        // TTL-0 by design and error responses are cheap to recompute.
-        let cacheable_shape = self.cache.is_some()
-            && query.questions.len() == 1
-            // lint: allow(serve-index) — questions.len() == 1 checked on the previous arm
-            && query.questions[0].name != gen.whoami;
-        if !cacheable_shape {
-            // Uncacheable shapes always route: price them like any other
-            // compute-path query.
-            if let Some(b) = self.admission.as_mut() {
-                if !b.try_take(Instant::now()) {
-                    stages.outcome = TraceOutcome::Shed;
-                    return if refused_into(payload, reply) {
-                        ServeOutcome::Shed
-                    } else {
-                        ServeOutcome::Dropped
-                    };
-                }
-            }
-            let t_route = stages.timed.then(Instant::now);
-            let resp = map.answer(server_ip, query, &ctx);
-            stages.route_ns = elapsed_ns(t_route);
-            let t_encode = stages.timed.then(Instant::now);
-            encode_message_into(&resp, reply);
-            let truncated = truncate_in_place(reply, limit);
-            stages.encode_ns = elapsed_ns(t_encode);
-            return ServeOutcome::Replied {
-                cache_hit: false,
-                truncated,
-            };
-        }
-        // lint: allow(serve-panic) — cacheable_shape implies cache.is_some()
-        let cache = self.cache.as_mut().expect("checked above");
-        // lint: allow(serve-index) — cacheable_shape implies exactly one question
-        let q = &query.questions[0];
         let now = Instant::now();
         let ecs = query.ecs().copied();
         // The end-user (scoped) path exists only at low-level servers; the
         // top level always delegates per resolver, whatever the query
         // carries.
-        let eu_path = gen.uses_ecs && ecs.is_some() && server_ip != gen.top_ip;
-
-        let hit = if let (true, Some(e)) = (eu_path, ecs.as_ref()) {
-            cache.lookup_scoped(&q.name, q.rtype, e.addr, e.source_prefix, now)
-        } else {
-            cache.lookup_resolver(&q.name, q.rtype, ctx.resolver_ip, server_ip, now)
+        let eu_ecs = ecs.filter(|_| gen.uses_ecs && server_ip != gen.top_ip);
+        // Only single-question catalog-name queries are memoizable (the
+        // cached wire echoes the question section verbatim): whoami is
+        // TTL-0 by design and error responses are cheap to recompute.
+        let mut memo = match (self.cache.as_mut(), query.questions.as_slice()) {
+            (Some(cache), [q]) if q.name != gen.whoami => {
+                let asked = cache.ask(&q.name, q.rtype);
+                Some((cache, asked, asked.resolver(resolver_ip, server_ip)))
+            }
+            _ => None,
         };
-        if let Some(entry) = hit {
-            entry.replay_into(query.id, query.flags.rd, ecs.as_ref(), now, reply);
-            // The template is stored untruncated; each replay is capped
-            // against *this* query's advertised size — a patch in place
-            // on the memcpy'd bytes, still alloc-free.
-            let truncated = truncate_in_place(reply, limit);
-            stages.outcome = TraceOutcome::CacheHit;
+        if let Some((cache, asked, resolver_key)) = memo.as_mut() {
+            let hit = match eu_ecs {
+                Some(e) => cache.find_scoped(*asked, e.addr, e.source_prefix, now),
+                None => cache.find(*resolver_key, *asked, now),
+            };
+            if let Some(entry) = hit {
+                entry.replay_into(query.id, query.flags.rd, ecs.as_ref(), now, reply);
+                // The template is stored untruncated; each replay is capped
+                // against *this* query's advertised size — a patch in place
+                // on the memcpy'd bytes, still alloc-free.
+                let truncated = truncate_in_place(reply, limit);
+                stages.outcome = TraceOutcome::CacheHit;
+                if stages.timed {
+                    stages.cache_ns = now.elapsed().as_nanos() as u64;
+                }
+                return ServeOutcome::Replied {
+                    cache_hit: true,
+                    truncated,
+                };
+            }
             if stages.timed {
                 stages.cache_ns = now.elapsed().as_nanos() as u64;
             }
-            return ServeOutcome::Replied {
-                cache_hit: true,
-                truncated,
-            };
+            stages.outcome = TraceOutcome::Computed;
         }
-        if stages.timed {
-            stages.cache_ns = now.elapsed().as_nanos() as u64;
-        }
-        // Cache miss: the expensive class. Admission prices it here —
-        // an empty bucket sheds the query as REFUSED before any routing
-        // work, which is exactly the cheapest-first priority (a
-        // cache-busting flood is all misses; cached legit hits never
-        // reach this point).
+        // The compute path — a cache miss or an uncacheable shape — is the
+        // expensive class. Admission prices it here: an empty bucket sheds
+        // the query as REFUSED before any routing work, which is exactly
+        // the cheapest-first priority (a cache-busting flood is all
+        // misses; cached legit hits never reach this point).
         if let Some(b) = self.admission.as_mut() {
             if !b.try_take(now) {
                 stages.outcome = TraceOutcome::Shed;
@@ -532,58 +519,50 @@ impl ShardState {
                 };
             }
         }
-        stages.outcome = TraceOutcome::Computed;
 
         let t_route = stages.timed.then(Instant::now);
-        let resp = map.answer(server_ip, query, &ctx);
+        let decision = map.decide_reply(server_ip, query, &ctx);
         stages.route_ns = elapsed_ns(t_route);
-        // Cache only clean answers with a real TTL; the minimum spans
-        // every returned record (delegations live in
-        // authorities/additionals).
-        let min_ttl = resp
-            .answers
-            .iter()
-            .chain(resp.authorities.iter())
-            .chain(
-                resp.additionals
-                    .iter()
-                    .filter(|r| !matches!(r.rdata, eum_dns::RData::Opt(_))),
-            )
-            .map(|r| r.ttl)
-            .min();
-        let cacheable = resp.flags.rcode == Rcode::NoError && min_ttl.is_some_and(|t| t > 0);
-        if cacheable {
-            // lint: allow(serve-panic) — cacheable implies min_ttl.is_some()
-            let entry = CachedAnswer::from_response(&resp, min_ttl.expect("checked"), now);
-            match (eu_path, resp.ecs().map(|e| e.scope_prefix)) {
-                // End-user answer with a real scope: valid for the whole
-                // scope block.
-                (true, Some(scope)) if scope > 0 => {
-                    // lint: allow(serve-panic) — eu_path is only true when ecs.is_some()
-                    let e = ecs.as_ref().expect("eu_path implies ecs");
-                    cache.insert_scoped(q.name.clone(), q.rtype, Prefix::of(e.addr, scope), entry);
-                }
-                // Scope-0 answer to an ECS query (unknown block fallback):
-                // not cached. It must not enter the scoped table (a /0
-                // entry would shadow real blocks) and the resolver table
-                // is for queries that will probe it again — ECS queries
-                // never do.
-                (true, _) => {}
-                // NS path (no ECS, policy ignores it, or top-level
-                // delegation): per-resolver at this serving IP.
-                (false, _) => {
-                    cache.insert_resolver(
-                        q.name.clone(),
-                        q.rtype,
-                        ctx.resolver_ip,
-                        server_ip,
-                        entry,
-                    );
-                }
-            }
-        }
         let t_encode = stages.timed.then(Instant::now);
-        encode_message_into(&resp, reply);
+        // A miss is a fill plus a hit: the decision is rendered once,
+        // straight into the entry that will serve the replays — or into
+        // the shard's scratch entry when it is not to be kept — and the
+        // reply comes off that template like any later one.
+        let fill = |entry: &mut CachedAnswer| {
+            entry.fill(decision.scope, decision.ttl_s, now, |wire| {
+                decision.render_into(query, wire)
+            })
+        };
+        // Cache only clean answers with a real TTL.
+        let cacheable = decision.rcode == Rcode::NoError && decision.ttl_s > 0;
+        let stored = memo
+            .filter(|_| cacheable)
+            .and_then(|(cache, asked, resolver_key)| {
+                let key = match (eu_ecs, decision.scope) {
+                    // End-user answer with a real scope: valid for the whole
+                    // scope block.
+                    (Some(e), Some(scope)) if scope > 0 => asked.scoped(Prefix::of(e.addr, scope)),
+                    // Scope-0 answer to an ECS query (unknown block fallback):
+                    // not cached. It must not enter the scoped table (a /0
+                    // entry would shadow real blocks) and the resolver table
+                    // is for queries that will probe it again — ECS queries
+                    // never do.
+                    (Some(_), _) => return None,
+                    // NS path (no ECS, policy ignores it, or top-level
+                    // delegation): per-resolver at this serving IP.
+                    (None, _) => resolver_key,
+                };
+                cache.insert_with(key, asked, now, fill)
+            });
+        let entry = match stored {
+            Some(entry) => entry,
+            None => {
+                fill(uncached);
+                uncached
+            }
+        };
+        let echo = ecs.as_ref().filter(|_| decision.scope.is_some());
+        entry.replay_into(query.id, query.flags.rd, echo, now, reply);
         let truncated = truncate_in_place(reply, limit);
         stages.encode_ns = elapsed_ns(t_encode);
         ServeOutcome::Replied {

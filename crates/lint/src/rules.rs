@@ -342,11 +342,17 @@ fn find_indexing(code: &str) -> Vec<usize> {
         if !(is_ident_char(p) || p == b')' || p == b']' || p == b'?') {
             continue;
         }
-        // `&'a [u8]` is a type, not indexing: skip when the preceding
-        // identifier run is introduced by a lifetime tick.
+        // `&'a [u8]` and `&mut [u8]` are types, `let [a, b]` a pattern,
+        // `in [x, y]` a literal — none is indexing: skip when the
+        // preceding identifier run is introduced by a lifetime tick or
+        // is a keyword no expression can end with.
         if is_ident_char(p) {
             let start = b[..j].iter().rposition(|&q| !is_ident_char(q));
             if start.is_some_and(|s| b[s] == b'\'') {
+                continue;
+            }
+            let word = &code[start.map_or(0, |s| s + 1)..=j];
+            if ["mut", "let", "in", "return", "const", "dyn"].contains(&word) {
                 continue;
             }
         }

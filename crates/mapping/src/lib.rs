@@ -73,6 +73,9 @@ pub use local_lb::{domain_key, ConsistentRing};
 pub use measure::{PingMatrix, PingTargets, TargetId};
 pub use policy::MappingPolicy;
 pub use score::{ScoreBasis, ScoreTable, ScoringWeights};
-pub use system::{LocalLbPolicy, MappingConfig, MappingStats, MappingSystem, RescoreHints};
+pub use system::{
+    Decision, LocalLbPolicy, MappingConfig, MappingStats, MappingSystem, ReplyBody, RescoreHints,
+    MAX_ANSWER_SERVERS,
+};
 pub use telemetry::MappingTelemetry;
 pub use units::{MapUnitInfo, MapUnits, UnitId, UnitKey};

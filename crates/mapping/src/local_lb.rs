@@ -11,6 +11,7 @@
 
 use eum_cdn::ServerId;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// SplitMix64, used as the ring hash.
 fn hash64(mut x: u64) -> u64 {
@@ -20,11 +21,25 @@ fn hash64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// One virtual node on the ring.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Vnode {
+    /// Ring position.
+    pos: u64,
+    server: ServerId,
+    /// Steps back (counter-clockwise, wrapping) to the same server's
+    /// previous vnode; the ring's length when this is its only one. A
+    /// walk that has taken `i` steps has already met this vnode's server
+    /// exactly when `back <= i` — which is how [`ConsistentRing::pick_into`]
+    /// visits each server once without a seen-set.
+    back: u32,
+}
+
 /// A consistent-hash ring over one cluster's servers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConsistentRing {
-    /// Sorted (position, server) virtual nodes.
-    ring: Vec<(u64, ServerId)>,
+    /// Virtual nodes sorted by (position, server).
+    ring: Vec<Vnode>,
     /// Distinct servers on the ring.
     n_servers: usize,
 }
@@ -33,13 +48,31 @@ impl ConsistentRing {
     /// Builds a ring with `vnodes` virtual nodes per server.
     pub fn new(servers: &[ServerId], vnodes: usize) -> ConsistentRing {
         assert!(vnodes > 0, "need at least one vnode per server");
-        let mut ring = Vec::with_capacity(servers.len() * vnodes);
+        let mut nodes = Vec::with_capacity(servers.len() * vnodes);
         for s in servers {
             for v in 0..vnodes {
-                ring.push((hash64((s.0 as u64) << 20 | v as u64), *s));
+                nodes.push((hash64((s.0 as u64) << 20 | v as u64), *s));
             }
         }
-        ring.sort_unstable();
+        nodes.sort_unstable();
+        // Two laps: the first leaves every server's last vnode in `last`,
+        // so the second measures each vnode's wrapped distance back.
+        let len = nodes.len();
+        let mut last: HashMap<ServerId, usize> = HashMap::new();
+        for (j, (_, s)) in nodes.iter().enumerate() {
+            last.insert(*s, j);
+        }
+        let mut ring = Vec::with_capacity(len);
+        for (j, (pos, server)) in nodes.into_iter().enumerate() {
+            let prev = last.insert(server, j).unwrap_or(j);
+            // 1..=len: a lone vnode is a full lap behind itself.
+            let back = (j + len - prev - 1) % len + 1;
+            ring.push(Vnode {
+                pos,
+                server,
+                back: back as u32,
+            });
+        }
         ConsistentRing {
             ring,
             n_servers: servers.len(),
@@ -58,46 +91,60 @@ impl ConsistentRing {
     /// rejected by `admit` is skipped; if every server is rejected the
     /// walk falls back to ignoring the filter so requests are never
     /// dropped (overload beats outage).
-    pub fn pick(
+    pub fn pick(&self, key: u64, n: usize, admit: impl FnMut(ServerId) -> bool) -> Vec<ServerId> {
+        let mut out = vec![ServerId(0); n.min(self.n_servers)];
+        let picked = self.pick_into(key, &mut out, admit);
+        out.truncate(picked);
+        out
+    }
+
+    /// [`ConsistentRing::pick`] into a caller-owned slice: fills `out`
+    /// from the front with up to `out.len()` servers and returns how
+    /// many. Allocation-free — the serve path picks into a stack array.
+    pub fn pick_into(
         &self,
         key: u64,
-        n: usize,
+        out: &mut [ServerId],
         mut admit: impl FnMut(ServerId) -> bool,
-    ) -> Vec<ServerId> {
-        if self.ring.is_empty() || n == 0 {
-            return Vec::new();
+    ) -> usize {
+        if out.is_empty() {
+            return 0;
         }
-        let start = self.ring.partition_point(|(h, _)| *h < hash64(key));
-        let mut out: Vec<ServerId> = Vec::with_capacity(n);
-        let mut seen: Vec<ServerId> = Vec::with_capacity(self.n_servers);
-        let mut fallback: Vec<ServerId> = Vec::new();
-        for i in 0..self.ring.len() {
-            let (_, s) = self.ring[(start + i) % self.ring.len()];
-            if seen.contains(&s) {
+        let h = hash64(key);
+        let (before, from) = self.ring.split_at(self.ring.partition_point(|v| v.pos < h));
+        // Each server once, in ring order from the key's position.
+        let ring_order = || {
+            from.iter()
+                .chain(before)
+                .enumerate()
+                .filter(|(i, v)| v.back as usize > *i)
+                .map(|(_, v)| v.server)
+                .take(self.n_servers)
+        };
+        let mut n = 0;
+        for s in ring_order().filter(|s| admit(*s)) {
+            if let Some(slot) = out.get_mut(n) {
+                *slot = s;
+                n += 1;
+            }
+            if n == out.len() {
+                return n;
+            }
+        }
+        // Not enough admitted servers: top up from the skipped ones in
+        // ring order rather than returning fewer.
+        let admitted = n;
+        for s in ring_order() {
+            if out.iter().take(admitted).any(|a| *a == s) {
                 continue;
             }
-            seen.push(s);
-            if admit(s) {
-                out.push(s);
-                if out.len() == n {
-                    return out;
-                }
-            } else {
-                fallback.push(s);
-            }
-            if seen.len() == self.n_servers {
+            let Some(slot) = out.get_mut(n) else {
                 break;
-            }
+            };
+            *slot = s;
+            n += 1;
         }
-        // Not enough admitted servers: top up from skipped ones in ring
-        // order rather than returning nothing.
-        for s in fallback {
-            if out.len() == n {
-                break;
-            }
-            out.push(s);
-        }
-        out
+        n
     }
 
     /// The primary server for a key with no filtering.
@@ -244,6 +291,36 @@ mod prop_tests {
             prop_assert_eq!(picked.len(), n.min(n_servers as usize));
             let set: std::collections::BTreeSet<_> = picked.iter().collect();
             prop_assert_eq!(set.len(), picked.len());
+        }
+
+        /// `pick_into` (each server once via the vnodes' back-distances)
+        /// agrees with a plain seen-set walk under any admit mask, the
+        /// all-rejected fallback included.
+        #[test]
+        fn pick_into_matches_seen_set_walk(
+            n_servers in 1u32..12,
+            vnodes in 1usize..32,
+            key in any::<u64>(),
+            n in 0usize..6,
+            mask in any::<u16>(),
+        ) {
+            let ids: Vec<ServerId> = (0..n_servers).map(|i| ServerId(i * 7 + 3)).collect();
+            let ring = ConsistentRing::new(&ids, vnodes);
+            let admit = |s: ServerId| mask >> (s.0 % 16) & 1 == 1;
+            let start = ring.ring.partition_point(|v| v.pos < hash64(key));
+            let mut seen: Vec<ServerId> = Vec::new();
+            for i in 0..ring.ring.len() {
+                let s = ring.ring[(start + i) % ring.ring.len()].server;
+                if !seen.contains(&s) {
+                    seen.push(s);
+                }
+            }
+            let mut want: Vec<ServerId> = seen.iter().copied().filter(|s| admit(*s)).collect();
+            want.extend(seen.iter().copied().filter(|s| !admit(*s)));
+            want.truncate(n);
+            let mut out = [ServerId(0); 6];
+            let picked = ring.pick_into(key, &mut out[..n], admit);
+            prop_assert_eq!(&out[..picked], &want[..]);
         }
 
         /// The admit filter is honored whenever enough admitted servers exist.

@@ -24,9 +24,9 @@ use crate::policy::MappingPolicy;
 use crate::score::{ScoreBasis, ScoreTable, ScoringWeights};
 use crate::telemetry::{AnswerPath, MappingTelemetry};
 use crate::units::{MapUnitInfo, MapUnits, UnitId, UnitKey};
-use eum_cdn::{CdnPlatform, ClusterId, ContentCatalog, ServerId, TrafficClass};
+use eum_cdn::{CdnPlatform, ClusterId, ContentCatalog, HostedDomain, ServerId, TrafficClass};
 use eum_dns::edns::{EcsOption, OptData};
-use eum_dns::{DnsName, Message, QueryContext, Rcode, Record};
+use eum_dns::{DnsName, Message, QueryContext, Rcode, Record, RrType};
 use eum_geo::{GeoInfo, Prefix};
 use eum_netmodel::{Endpoint, Internet};
 use eum_telemetry::Registry;
@@ -217,12 +217,15 @@ impl CandidateTable {
 
     /// A unit's ranked candidates, trimmed of padding.
     fn row(&self, u: usize) -> &[u32] {
-        let row = &self.flat[u * self.stride..(u + 1) * self.stride];
+        let row = self
+            .flat
+            .get(u * self.stride..(u + 1) * self.stride)
+            .unwrap_or_default();
         let n = row
             .iter()
             .position(|c| *c == NO_CANDIDATE)
-            .unwrap_or(self.stride);
-        &row[..n]
+            .unwrap_or(row.len());
+        row.get(..n).unwrap_or_default()
     }
 }
 
@@ -295,9 +298,13 @@ pub struct MappingSystem {
     cfg: MappingConfig,
     /// The CDN's domain suffix (e.g. `cdn.example`).
     suffix: DnsName,
+    /// `whoami.<suffix>`, the LDNS-discovery name.
+    whoami: DnsName,
     /// Top-level authoritative server IP.
     top_ip: Ipv4Addr,
     catalog: Arc<ContentCatalog>,
+    /// Name → index into `catalog`, built with it.
+    names: Arc<DomainIndex>,
     clusters: Vec<ClusterView>,
     ns_by_ip: Arc<HashMap<Ipv4Addr, usize>>,
     /// NS-based (or client-aware) units and their ranked cluster choices,
@@ -372,9 +379,11 @@ impl MappingSystem {
         let computed = Self::compute(net, cdn, &cfg);
         MappingSystem {
             cfg,
+            whoami: suffix.child("whoami").expect("valid literal label"),
             suffix,
             top_ip,
             catalog: Arc::new(catalog.clone()),
+            names: Arc::new(DomainIndex::build(catalog, fnv1a)),
             clusters: computed.clusters,
             ns_by_ip: computed.ns_by_ip,
             ns_units: computed.ns_units,
@@ -726,8 +735,10 @@ impl MappingSystem {
         MappingSystem {
             cfg: self.cfg.clone(),
             suffix: self.suffix.clone(),
+            whoami: self.whoami.clone(),
             top_ip: self.top_ip,
             catalog: self.catalog.clone(),
+            names: self.names.clone(),
             clusters: self.clusters.clone(),
             ns_by_ip: self.ns_by_ip.clone(),
             ns_units: self.ns_units.clone(),
@@ -937,7 +948,7 @@ impl MappingSystem {
     /// The LDNS-discovery name (`whoami.<suffix>`, §3.1's
     /// `whoami.akamai.net` analogue).
     pub fn whoami_name(&self) -> DnsName {
-        self.suffix.child("whoami").expect("valid literal label")
+        self.whoami.clone()
     }
 
     /// The NS-based mapping units (always present).
@@ -1039,7 +1050,7 @@ impl MappingSystem {
         if let Some(c) = candidates
             .iter()
             .map(|c| *c as usize)
-            .find(|c| self.clusters[*c].alive)
+            .find(|c| self.clusters.get(*c).is_some_and(|v| v.alive))
         {
             if let Some(t) = &self.telemetry {
                 t.count_fallback_overloaded();
@@ -1071,7 +1082,7 @@ impl MappingSystem {
                 if let Some(t) = &self.telemetry {
                     t.count_ns_unit(u.index());
                 }
-                self.pick_live(self.ns_candidates[class_slot(class)].row(u.index()))
+                self.pick_live(self.ns_candidates.get(class_slot(class))?.row(u.index()))
             }
             None => self.escape_cluster(),
         }
@@ -1085,8 +1096,9 @@ impl MappingSystem {
         if let Some(t) = &self.telemetry {
             t.count_eu_unit(unit.index());
         }
-        let cluster = self.pick_live(self.eu_candidates[class_slot(class)].row(unit.index()))?;
-        let unit_len = match units.unit(unit).key {
+        let table = self.eu_candidates.get(class_slot(class))?;
+        let cluster = self.pick_live(table.row(unit.index()))?;
+        let unit_len = match units.units.get(unit.index())?.key {
             UnitKey::Block(p) => p.len(),
             UnitKey::Ldns(_) => 24,
         };
@@ -1172,84 +1184,91 @@ impl MappingSystem {
 
     /// Handles one authoritative query arriving at `server_ip`, updating
     /// the runtime counters. Single-owner entry point; the serving shards
-    /// use the lock-free [`MappingSystem::answer`] instead and keep their
+    /// use the lock-free [`MappingSystem::decide_reply`] instead and keep their
     /// own statistics.
     pub fn handle(&mut self, server_ip: Ipv4Addr, query: &Message, ctx: &QueryContext) -> Message {
+        let decision = self.decide_reply(server_ip, query, ctx);
         self.stats.queries += 1;
         if query.ecs().is_some() {
             self.stats.ecs_queries += 1;
         }
-        if let Some(q) = query.questions.first() {
-            if q.name.is_within(&self.suffix) && q.name != self.whoami_name() {
-                if let Some(idx) = self.catalog.by_cdn_name(&q.name).map(|(i, _)| i) {
-                    if server_ip == self.top_ip {
-                        self.stats.top_level_queries += 1;
-                    } else if self.ns_by_ip.contains_key(&server_ip) {
-                        self.stats.a_queries += 1;
-                        *self
-                            .stats
-                            .per_domain_ldns
-                            .entry((idx, ctx.resolver_ip))
-                            .or_insert(0) += 1;
-                    }
-                }
+        if let Some(idx) = decision.domain {
+            if server_ip == self.top_ip {
+                self.stats.top_level_queries += 1;
+            } else if self.ns_by_ip.contains_key(&server_ip) {
+                self.stats.a_queries += 1;
+                *self
+                    .stats
+                    .per_domain_ldns
+                    .entry((idx, ctx.resolver_ip))
+                    .or_insert(0) += 1;
             }
         }
-        self.answer(server_ip, query, ctx)
+        decision.to_message(query)
     }
 
     /// Answers one authoritative query arriving at `server_ip` without
-    /// touching any counters: the pure serving path, callable through a
-    /// shared reference from many threads at once (the only interior
-    /// mutation is the relaxed round-robin rotation).
+    /// touching any counters: [`MappingSystem::decide_reply`] rendered as a
+    /// [`Message`]. Callable through a shared reference from many
+    /// threads at once.
     pub fn answer(&self, server_ip: Ipv4Addr, query: &Message, ctx: &QueryContext) -> Message {
-        let question = match query.questions.first() {
-            Some(q) => q.clone(),
-            None => {
-                self.note(AnswerPath::Error);
-                return Message::response_to(query, Rcode::FormErr);
-            }
+        self.decide_reply(server_ip, query, ctx).to_message(query)
+    }
+
+    /// Decides the reply to one authoritative query arriving at
+    /// `server_ip`: name → domain, cluster, servers, TTL, scope, rcode —
+    /// and nothing else. The pure serving path: reads only in-memory map
+    /// state, allocates nothing, and is callable through a shared
+    /// reference from many threads at once (the only interior mutation is
+    /// the relaxed round-robin rotation). Render the result with
+    /// [`Decision::to_message`] or [`Decision::render_into`].
+    pub fn decide_reply(
+        &self,
+        server_ip: Ipv4Addr,
+        query: &Message,
+        ctx: &QueryContext,
+    ) -> Decision {
+        let Some(question) = query.questions.first() else {
+            return self.error(Rcode::FormErr);
         };
         if !question.name.is_within(&self.suffix) {
-            self.note(AnswerPath::Error);
-            return Message::response_to(query, Rcode::Refused);
+            return self.error(Rcode::Refused);
         }
         // The NetSession LDNS-discovery probe (§3.1): `whoami.<suffix>`
         // answers with the unicast IP of the querying resolver, letting a
         // client learn which LDNS serves it. TTL 0: never cacheable.
-        if question.name == self.whoami_name() {
+        if question.name == self.whoami {
             self.note(AnswerPath::Whoami);
-            let mut resp = Message::response_to(query, Rcode::NoError);
-            resp.answers
-                .push(Record::a(question.name.clone(), 0, ctx.resolver_ip));
-            resp.answers.push(Record {
-                name: question.name,
-                ttl: 0,
-                rdata: eum_dns::RData::Txt(format!("resolver={}", ctx.resolver_ip)),
-            });
-            return resp;
+            return Decision {
+                body: ReplyBody::Whoami(ctx.resolver_ip),
+                ..Decision::EMPTY
+            };
         }
-        let domain = match self.catalog.by_cdn_name(&question.name) {
-            Some((idx, d)) => (idx, d.ttl_s, d.class),
-            None => {
-                self.note(AnswerPath::Error);
-                let mut resp = Message::response_to(query, Rcode::NxDomain);
-                if let Some(ecs) = query.ecs() {
-                    resp.set_opt(OptData::with_ecs(EcsOption::response(ecs, 0)));
-                }
-                return resp;
-            }
+        let Some((idx, domain)) = self.names.get(&self.catalog, &question.name) else {
+            return Decision {
+                scope: query.ecs().map(|_| 0),
+                ..self.error(Rcode::NxDomain)
+            };
         };
-
-        if server_ip == self.top_ip {
-            return self.handle_top_level(query, &question.name, domain.2, ctx);
+        let decision = if server_ip == self.top_ip {
+            self.decide_top_level(query, domain.class, ctx)
+        } else if self.ns_by_ip.contains_key(&server_ip) {
+            self.decide_low_level(query, idx, domain, ctx)
+        } else {
+            self.error(Rcode::Refused)
+        };
+        Decision {
+            domain: Some(idx),
+            ..decision
         }
-        match self.ns_by_ip.get(&server_ip).copied() {
-            Some(_) => self.handle_low_level(query, &question.name, domain, ctx),
-            None => {
-                self.note(AnswerPath::Error);
-                Message::response_to(query, Rcode::Refused)
-            }
+    }
+
+    /// An error decision, counted.
+    fn error(&self, rcode: Rcode) -> Decision {
+        self.note(AnswerPath::Error);
+        Decision {
+            rcode,
+            ..Decision::EMPTY
         }
     }
 
@@ -1261,92 +1280,75 @@ impl MappingSystem {
     }
 
     /// Top-level: delegate the domain toward a cluster close to the LDNS.
-    fn handle_top_level(
+    fn decide_top_level(
         &self,
         query: &Message,
-        qname: &DnsName,
         class: TrafficClass,
         ctx: &QueryContext,
-    ) -> Message {
-        let mut resp = Message::response_to(query, Rcode::NoError);
-        resp.flags.aa = false;
-        let cluster = match self.cluster_for_ldns(ctx.resolver_ip, class) {
-            Some(c) => c,
-            None => {
-                self.note(AnswerPath::Error);
-                return Message::response_to(query, Rcode::ServFail);
-            }
+    ) -> Decision {
+        let cluster = self
+            .cluster_for_ldns(ctx.resolver_ip, class)
+            .and_then(|c| self.clusters.get(c));
+        let Some(view) = cluster else {
+            return self.error(Rcode::ServFail);
         };
         self.note(AnswerPath::TopLevel);
-        let view = &self.clusters[cluster];
-        let ns_name = qname
-            .child(&format!("n{}", view.id.0))
-            .expect("valid generated label");
-        resp.authorities.push(Record::ns(
-            qname.clone(),
-            self.cfg.ns_ttl_s,
-            ns_name.clone(),
-        ));
-        resp.additionals
-            .push(Record::a(ns_name, self.cfg.ns_ttl_s, view.ns_ip));
-        // Delegations are per-LDNS; if ECS was present, scope 0 keeps the
-        // referral cacheable for all the LDNS's clients.
-        if let Some(ecs) = query.ecs() {
-            resp.set_opt(OptData::with_ecs(EcsOption::response(ecs, 0)));
+        Decision {
+            body: ReplyBody::Delegation {
+                cluster: view.id,
+                ns_ip: view.ns_ip,
+            },
+            ttl_s: self.cfg.ns_ttl_s,
+            // Delegations are per-LDNS; if ECS was present, scope 0 keeps
+            // the referral cacheable for all the LDNS's clients.
+            scope: query.ecs().map(|_| 0),
+            ..Decision::EMPTY
         }
-        resp
     }
 
     /// Low-level: answer A with local-LB-chosen servers of the unit's
     /// assigned cluster.
-    fn handle_low_level(
+    fn decide_low_level(
         &self,
         query: &Message,
-        qname: &DnsName,
-        (domain_idx, ttl_s, class): (u32, u32, TrafficClass),
+        domain_idx: u32,
+        domain: &HostedDomain,
         ctx: &QueryContext,
-    ) -> Message {
+    ) -> Decision {
         // End-user path: ECS present and policy consumes it.
         let ecs_path = match (self.cfg.policy.uses_ecs(), query.ecs()) {
             (true, Some(ecs)) => {
                 let block = ecs.source_block().truncate(24);
-                self.cluster_for_block(block, class)
-                    .map(|(c, scope)| (c, scope, *ecs))
+                self.cluster_for_block(block, domain.class)
+                    .map(|(c, scope)| (c, scope.min(ecs.source_prefix)))
             }
             _ => None,
         };
-        let (cluster, scope_for_response) = match ecs_path {
-            Some((c, scope, ecs)) => {
+        let (cluster, scope) = match ecs_path {
+            Some((c, scope)) => {
                 self.note(AnswerPath::EndUser);
-                (c, Some((ecs, scope.min(ecs.source_prefix))))
+                (c, Some(scope))
             }
             None => {
-                let c = match self.cluster_for_ldns(ctx.resolver_ip, class) {
-                    Some(c) => c,
-                    None => {
-                        self.note(AnswerPath::Error);
-                        return Message::response_to(query, Rcode::ServFail);
-                    }
+                let Some(c) = self.cluster_for_ldns(ctx.resolver_ip, domain.class) else {
+                    return self.error(Rcode::ServFail);
                 };
                 self.note(AnswerPath::Ns);
                 // NS-derived answers are client-independent: scope 0.
-                (c, query.ecs().map(|e| (*e, 0)))
+                (c, query.ecs().map(|_| 0))
             }
         };
-
-        let view = &self.clusters[cluster];
-        let alive = |s: ServerId| {
-            view.servers
-                .iter()
-                .find(|(sid, _, _)| *sid == s)
-                .map(|(_, _, alive)| *alive)
-                .unwrap_or(false)
+        let servfail = Decision {
+            rcode: Rcode::ServFail,
+            ..Decision::EMPTY
         };
-        let servers = match self.cfg.local_lb {
-            LocalLbPolicy::ConsistentHash => {
-                view.ring
-                    .pick(domain_key(domain_idx), self.cfg.servers_per_answer, alive)
-            }
+        let Some(view) = self.clusters.get(cluster) else {
+            return servfail;
+        };
+        let member = |s: ServerId| view.servers.iter().find(|(sid, _, _)| *sid == s);
+        let alive = |s: ServerId| member(s).is_some_and(|(_, _, alive)| *alive);
+        let key = match self.cfg.local_lb {
+            LocalLbPolicy::ConsistentHash => domain_key(domain_idx),
             LocalLbPolicy::RoundRobin => {
                 // Per-query rotation keyed by an atomic tick: load is
                 // spread evenly but each domain touches every server.
@@ -1359,30 +1361,277 @@ impl MappingSystem {
                     // draw matters, not ordering against other memory
                     .fetch_add(1, Ordering::Relaxed)
                     .wrapping_add(1);
-                view.ring.pick(
-                    domain_key(domain_idx) ^ tick.wrapping_mul(0x9E37_79B9),
-                    self.cfg.servers_per_answer,
-                    alive,
-                )
+                domain_key(domain_idx) ^ tick.wrapping_mul(0x9E37_79B9)
             }
         };
-        let mut resp = Message::response_to(query, Rcode::NoError);
-        for s in servers {
-            let ip = view
-                .servers
-                .iter()
-                .find(|(sid, _, _)| *sid == s)
-                .map(|(_, ip, _)| *ip)
-                .expect("ring servers belong to the cluster");
-            resp.answers.push(Record::a(qname.clone(), ttl_s, ip));
+        let mut picked = [ServerId(0); MAX_ANSWER_SERVERS];
+        let want = self.cfg.servers_per_answer.min(MAX_ANSWER_SERVERS);
+        let n_picked = picked
+            .get_mut(..want)
+            .map_or(0, |out| view.ring.pick_into(key, out, alive));
+        let mut ips = [Ipv4Addr::UNSPECIFIED; MAX_ANSWER_SERVERS];
+        let mut n = 0u8;
+        let found = picked.iter().take(n_picked).filter_map(|s| member(*s));
+        for (slot, (_, ip, _)) in ips.iter_mut().zip(found) {
+            *slot = *ip;
+            n += 1;
         }
-        if resp.answers.is_empty() {
-            return Message::response_to(query, Rcode::ServFail);
+        if n == 0 {
+            return servfail;
         }
-        if let Some((ecs, scope)) = scope_for_response {
-            resp.set_opt(OptData::with_ecs(EcsOption::response(&ecs, scope)));
+        Decision {
+            body: ReplyBody::Addresses { ips, n },
+            ttl_s: domain.ttl_s,
+            scope,
+            ..Decision::EMPTY
+        }
+    }
+}
+
+/// Most server IPs one A answer carries: a [`Decision`] holds them in a
+/// fixed array, so [`MappingConfig::servers_per_answer`] is clamped here.
+pub const MAX_ANSWER_SERVERS: usize = 8;
+
+/// The records a reply carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyBody {
+    /// None: every error reply.
+    Empty,
+    /// The LDNS-discovery probe: an A and a TXT record, both naming the
+    /// querying resolver.
+    Whoami(Ipv4Addr),
+    /// A top-level referral to `n<cluster>.<qname>`, with its glue.
+    Delegation {
+        /// The cluster delegated to (names the NS record's target).
+        cluster: ClusterId,
+        /// That cluster's name-server address (the glue record).
+        ns_ip: Ipv4Addr,
+    },
+    /// A low-level answer: one A record per address.
+    Addresses {
+        /// The chosen servers; only the first `n` are meaningful.
+        ips: [Ipv4Addr; MAX_ANSWER_SERVERS],
+        /// How many of `ips` the answer carries.
+        n: u8,
+    },
+}
+
+/// What [`MappingSystem::decide_reply`] decided for one query: everything the
+/// reply says, before it is rendered either as a [`Message`]
+/// ([`Decision::to_message`] — the simulator, tests) or as wire bytes
+/// ([`Decision::render_into`] — the authoritative serve path). Both
+/// renderers read only this value and the query, so they cannot disagree
+/// about the answer, only about its encoding — and
+/// `crates/authd/tests/serve_diff.rs` pins that they do not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decision {
+    /// The response code.
+    pub rcode: Rcode,
+    /// Catalog index of the queried name, when it is a hosted domain
+    /// (set on SERVFAIL and REFUSED-by-server-IP replies too).
+    pub domain: Option<u32>,
+    /// The reply's records.
+    pub body: ReplyBody,
+    /// The TTL every record of `body` carries (0 for an empty body).
+    pub ttl_s: u32,
+    /// The ECS scope the reply announces. `None` when the reply carries
+    /// no ECS option: the query had none, or the shape never echoes one
+    /// (whoami, FORMERR, REFUSED, SERVFAIL).
+    pub scope: Option<u8>,
+}
+
+impl Decision {
+    /// NOERROR with no records, domain, TTL or scope: the base every
+    /// decision is spelled as a difference from.
+    const EMPTY: Decision = Decision {
+        rcode: Rcode::NoError,
+        domain: None,
+        body: ReplyBody::Empty,
+        ttl_s: 0,
+        scope: None,
+    };
+
+    /// Renders the decision as the response [`Message`] to `query`.
+    pub fn to_message(&self, query: &Message) -> Message {
+        let mut resp = Message::response_to(query, self.rcode);
+        let Some(qname) = query.questions.first().map(|q| &q.name) else {
+            return resp;
+        };
+        match self.body {
+            ReplyBody::Empty => {}
+            ReplyBody::Whoami(resolver) => {
+                resp.answers.push(Record::a(qname.clone(), 0, resolver));
+                resp.answers.push(Record {
+                    name: qname.clone(),
+                    ttl: 0,
+                    rdata: eum_dns::RData::Txt(format!("resolver={resolver}")),
+                });
+            }
+            ReplyBody::Delegation { cluster, ns_ip } => {
+                resp.flags.aa = false;
+                let ns_name = qname
+                    .child(&format!("n{}", cluster.0))
+                    .expect("valid generated label");
+                resp.authorities
+                    .push(Record::ns(qname.clone(), self.ttl_s, ns_name.clone()));
+                resp.additionals.push(Record::a(ns_name, self.ttl_s, ns_ip));
+            }
+            ReplyBody::Addresses { ips, n } => {
+                for ip in ips.iter().take(usize::from(n)) {
+                    resp.answers.push(Record::a(qname.clone(), self.ttl_s, *ip));
+                }
+            }
+        }
+        if let (Some(scope), Some(ecs)) = (self.scope, query.ecs()) {
+            resp.set_opt(OptData::with_ecs(EcsOption::response(ecs, scope)));
         }
         resp
+    }
+
+    /// Renders the decision into `out` as the wire *template* of the
+    /// response to `query`: transaction ID 0, RD clear and no OPT record
+    /// — the three per-query parts the authoritative cache patches in on
+    /// every replay, so one encode serves the miss and every later hit.
+    /// Clears `out` first; allocation-free once `out` has capacity.
+    ///
+    /// For a single-question query the bytes equal
+    /// `encode_message(&self.to_message(query))` with those three parts
+    /// normalised: record owners are compression pointers to the question
+    /// name at offset 12, and a delegation's glue owner points at the NS
+    /// record's target. Extra questions are echoed uncompressed.
+    pub fn render_into(&self, query: &Message, out: &mut Vec<u8>) {
+        /// Compression pointer to the first question's name.
+        const QNAME: u16 = 0xC000 | 12;
+        out.clear();
+        let (an, ns, ar) = match self.body {
+            ReplyBody::Empty => (0, 0, 0),
+            ReplyBody::Whoami(_) => (2, 0, 0),
+            ReplyBody::Delegation { .. } => (0, 1, 1),
+            ReplyBody::Addresses { n, .. } => (u16::from(n), 0, 0),
+        };
+        // Delegations are not authoritative data.
+        let aa = !matches!(self.body, ReplyBody::Delegation { .. });
+        let flags = 0x8000 | u16::from(aa) << 10 | u16::from(self.rcode.code());
+        for word in [0, flags, query.questions.len() as u16, an, ns, ar] {
+            out.extend_from_slice(&word.to_be_bytes());
+        }
+        for q in &query.questions {
+            out.extend_from_slice(q.name.wire());
+            out.push(0);
+            out.extend_from_slice(&q.rtype.code().to_be_bytes());
+            out.extend_from_slice(&1u16.to_be_bytes()); // IN
+        }
+        match self.body {
+            ReplyBody::Empty => {}
+            ReplyBody::Whoami(resolver) => {
+                put_rr_head(out, QNAME, RrType::A, 0, 4);
+                out.extend_from_slice(&resolver.octets());
+                let mut text = [0u8; 32];
+                let len = write_to(&mut text, format_args!("resolver={resolver}"));
+                put_rr_head(out, QNAME, RrType::Txt, 0, 1 + len as u16);
+                out.push(len as u8);
+                out.extend_from_slice(text.get(..len).unwrap_or_default());
+            }
+            ReplyBody::Delegation { cluster, ns_ip } => {
+                let mut label = [0u8; 16];
+                let len = write_to(&mut label, format_args!("n{}", cluster.0));
+                put_rr_head(out, QNAME, RrType::Ns, self.ttl_s, 1 + len as u16 + 2);
+                // A pointer reaches only the first 16 KiB of a message.
+                let target = u16::try_from(out.len()).ok().filter(|at| *at < 0x4000);
+                out.push(len as u8);
+                out.extend_from_slice(label.get(..len).unwrap_or_default());
+                out.extend_from_slice(&QNAME.to_be_bytes());
+                // The glue's owner is the NS target, just written.
+                put_rr_head(
+                    out,
+                    target.map_or(QNAME, |at| 0xC000 | at),
+                    RrType::A,
+                    self.ttl_s,
+                    4,
+                );
+                out.extend_from_slice(&ns_ip.octets());
+            }
+            ReplyBody::Addresses { ips, n } => {
+                for ip in ips.iter().take(usize::from(n)) {
+                    put_rr_head(out, QNAME, RrType::A, self.ttl_s, 4);
+                    out.extend_from_slice(&ip.octets());
+                }
+            }
+        }
+    }
+}
+
+/// Appends one record up to its RDATA: owner (a compression pointer),
+/// TYPE, CLASS IN, TTL, RDLENGTH.
+fn put_rr_head(out: &mut Vec<u8>, owner: u16, rtype: RrType, ttl_s: u32, rdlen: u16) {
+    out.extend_from_slice(&owner.to_be_bytes());
+    out.extend_from_slice(&rtype.code().to_be_bytes());
+    out.extend_from_slice(&1u16.to_be_bytes());
+    out.extend_from_slice(&ttl_s.to_be_bytes());
+    out.extend_from_slice(&rdlen.to_be_bytes());
+}
+
+/// Formats `args` into `buf` without touching the heap; returns the
+/// bytes written (what fits — callers size `buf` for their longest text).
+fn write_to(buf: &mut [u8], args: std::fmt::Arguments<'_>) -> usize {
+    use std::io::Write;
+    let mut rest = &mut *buf;
+    let _ = rest.write_fmt(args);
+    let left = rest.len();
+    buf.len() - left
+}
+
+/// Name → catalog index, built once per [`MappingSystem`] (the catalog is
+/// immutable from then on, so the table cannot go stale): open-addressed
+/// slots of domain indices, [`NO_CANDIDATE`] when empty, keyed by a hash
+/// of the name's wire form — a power-of-two count at least twice the
+/// catalog's, so probe chains stay short. A probe is verified against
+/// `domains[i].cdn_name` itself: colliding names cost a comparison, and
+/// no name is stored twice.
+struct DomainIndex {
+    slots: Vec<u32>,
+    hash: fn(&[u8]) -> u64,
+}
+
+/// FNV-1a. The table's keys are the operator's own catalog, not traffic:
+/// a querier can choose which chain it probes, not lengthen one.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+impl DomainIndex {
+    fn build(catalog: &ContentCatalog, hash: fn(&[u8]) -> u64) -> DomainIndex {
+        let mut slots = vec![NO_CANDIDATE; (catalog.len() * 2).next_power_of_two()];
+        let mask = slots.len() - 1;
+        for (i, d) in catalog.domains.iter().enumerate() {
+            let mut at = hash(d.cdn_name.wire()) as usize & mask;
+            while slots[at] != NO_CANDIDATE {
+                at = (at + 1) & mask;
+            }
+            slots[at] = i as u32;
+        }
+        DomainIndex { slots, hash }
+    }
+
+    /// The hosted domain named `name`, with its catalog index.
+    fn get<'c>(
+        &self,
+        catalog: &'c ContentCatalog,
+        name: &DnsName,
+    ) -> Option<(u32, &'c HostedDomain)> {
+        let mask = self.slots.len() - 1;
+        let home = (self.hash)(name.wire()) as usize;
+        for step in 0..=mask {
+            let idx = *self.slots.get(home.wrapping_add(step) & mask)?;
+            // An empty slot ends the chain: the name is not hosted.
+            let domain = catalog.domains.get(idx as usize)?;
+            if domain.cdn_name == *name {
+                return Some((idx, domain));
+            }
+        }
+        None
     }
 }
 
@@ -1659,6 +1908,97 @@ mod tests {
             w.map.handle(top, &q, &ctx(ldns)).flags.rcode,
             Rcode::Refused
         );
+    }
+
+    #[test]
+    fn every_catalog_name_resolves_to_its_own_index() {
+        let w = world(MappingPolicy::NsBased);
+        for (i, d) in w.catalog.domains.iter().enumerate() {
+            let (idx, found) = w
+                .map
+                .names
+                .get(&w.catalog, &d.cdn_name)
+                .expect("hosted name");
+            assert_eq!(idx as usize, i);
+            assert_eq!(found.cdn_name, d.cdn_name);
+            // The index and the catalog's own scan agree.
+            assert_eq!(
+                w.catalog.by_cdn_name(&d.cdn_name).map(|(i, _)| i),
+                Some(idx)
+            );
+            // `handle` counts under the decision's index, not a second lookup.
+            let q = Message::query(1, Question::a(d.cdn_name.clone()), None);
+            assert_eq!(
+                w.map
+                    .decide_reply(w.map.top_level_ip(), &q, &ctx(Ipv4Addr::LOCALHOST))
+                    .domain,
+                Some(idx)
+            );
+        }
+        for stranger in ["nope.cdn.example", "e0.e0.cdn.example", "cdn.example"] {
+            assert!(w.map.names.get(&w.catalog, &name(stranger)).is_none());
+            let q = Message::query(2, Question::a(name(stranger)), None);
+            let d = w
+                .map
+                .decide_reply(w.map.top_level_ip(), &q, &ctx(Ipv4Addr::LOCALHOST));
+            assert_eq!((d.rcode, d.domain), (Rcode::NxDomain, None), "{stranger}");
+        }
+    }
+
+    #[test]
+    fn names_sharing_a_hash_bucket_all_resolve() {
+        let w = world(MappingPolicy::NsBased);
+        // Every name hashes to slot 7: the whole catalog is one chain.
+        let crowded = DomainIndex::build(&w.catalog, |_| 7);
+        for (i, d) in w.catalog.domains.iter().enumerate() {
+            let (idx, _) = crowded.get(&w.catalog, &d.cdn_name).expect("hosted name");
+            assert_eq!(idx as usize, i);
+        }
+        assert!(crowded.get(&w.catalog, &name("nope.cdn.example")).is_none());
+    }
+
+    /// `render_into` writes exactly what encoding `to_message` would,
+    /// minus the three per-query parts the cache patches back in.
+    #[test]
+    fn wire_template_equals_encoded_message_sans_per_query_parts() {
+        let mut w = world(MappingPolicy::end_user_default());
+        let ldns = w.net.resolvers[0].ip;
+        let client = w.net.blocks[0].client_ip();
+        let low = w.map.ns_ips()[1];
+        let ecs = || Some(OptData::with_ecs(EcsOption::query(client, 24)));
+        let shapes = |map: &MappingSystem| {
+            let mut wire = Vec::new();
+            for (server, qname, opt) in [
+                (low, "e0.cdn.example", ecs()),
+                (low, "e1.cdn.example", None),
+                (map.top_level_ip(), "e2.cdn.example", ecs()),
+                (low, "whoami.cdn.example", ecs()),
+                (low, "nope.cdn.example", ecs()),
+                (low, "www.example.org", None),
+            ] {
+                let q = Message::query(77, Question::a(name(qname)), opt);
+                let d = map.decide_reply(server, &q, &ctx(ldns));
+                let mut template = d.to_message(&q);
+                template.id = 0;
+                template.flags.rd = false;
+                template
+                    .additionals
+                    .retain(|r| !matches!(r.rdata, eum_dns::RData::Opt(_)));
+                d.render_into(&q, &mut wire);
+                assert_eq!(
+                    wire,
+                    eum_dns::encode_message(&template),
+                    "{qname} at {server}"
+                );
+            }
+        };
+        shapes(&w.map);
+        // …and the SERVFAIL shapes of a platform with nothing alive.
+        for id in w.cdn.clusters.iter().map(|c| c.id).collect::<Vec<_>>() {
+            w.cdn.set_cluster_alive(id, false);
+        }
+        w.map.refresh_liveness(&w.cdn);
+        shapes(&w.map);
     }
 
     #[test]
