@@ -161,7 +161,7 @@ pub fn run_study(net: &Internet, cfg: &StudyConfig) -> Vec<StudyRow> {
 
     // Observations: one per (block, ldns, weight).
     let mut observations: Vec<Observation> = Vec::new();
-    let mut ldns_hist: Vec<HashMap<TargetId, f64>> = vec![HashMap::new(); n_ldns];
+    let mut ldns_obs: Vec<Vec<(TargetId, f64)>> = vec![Vec::new(); n_ldns];
     for b in &net.blocks {
         let t = targets.target_of_block(b.id);
         for (r, w) in &b.ldns {
@@ -175,14 +175,21 @@ pub fn run_study(net: &Internet, cfg: &StudyConfig) -> Vec<StudyRow> {
                 ldns_idx: li,
                 weight,
             });
-            *ldns_hist[li as usize].entry(t).or_insert(0.0) += weight;
+            ldns_obs[li as usize].push((t, weight));
         }
     }
-    // Normalize histograms.
-    let ldns_hist: Vec<Vec<(TargetId, f64)>> = ldns_hist
+    // Normalized per-LDNS target histograms, sorted by target so that
+    // every sum over one (here and in the CANS matrix below) runs in one
+    // order in every process; the stable sort keeps block order per target.
+    let ldns_hist: Vec<Vec<(TargetId, f64)>> = ldns_obs
         .into_iter()
-        .map(|h| {
-            let total: f64 = h.values().sum();
+        .map(|mut obs| {
+            obs.sort_by_key(|(t, _)| *t);
+            let h: Vec<(TargetId, f64)> = obs
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|run| (run[0].0, run.iter().map(|(_, w)| w).sum()))
+                .collect();
+            let total: f64 = h.iter().map(|(_, w)| w).sum();
             h.into_iter()
                 .map(|(t, w)| (t, w / total.max(1e-12)))
                 .collect()
@@ -409,16 +416,20 @@ mod tests {
 
     #[test]
     fn study_is_deterministic() {
+        // Two calls in one process draw different `HashMap` hash keys, so
+        // any sum that ran in map order could differ in its last bits.
         let net = Internet::generate(InternetConfig::tiny(0xF17));
+        let bits = |rows: &[StudyRow]| -> Vec<(Scheme, usize, [u64; 3])> {
+            rows.iter()
+                .map(|r| {
+                    let m = [r.mean_ms, r.p95_ms, r.p99_ms].map(f64::to_bits);
+                    (r.scheme, r.deployments, m)
+                })
+                .collect()
+        };
         let a = run_study(&net, &StudyConfig::quick(1));
         let b = run_study(&net, &StudyConfig::quick(1));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.scheme, y.scheme);
-            assert_eq!(x.deployments, y.deployments);
-            assert_eq!(x.mean_ms, y.mean_ms);
-            assert_eq!(x.p99_ms, y.p99_ms);
-        }
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

@@ -57,48 +57,88 @@ impl Assignment {
 /// time, which visits exactly the clusters a pre-filtered list would,
 /// in the same order — so the cached-table path and the from-scratch
 /// path produce bit-identical assignments by construction.
+///
+/// The rows live in one flat `u16` array whose stride is the cluster
+/// count (so at most 65 536 clusters). Each row is sorted by
+/// [`sort_row`]'s key, which orders exactly as a stable sort by score
+/// would.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreferenceTable {
-    prefs: Vec<Vec<u32>>,
+    stride: usize,
+    flat: Vec<u16>,
 }
 
 impl PreferenceTable {
     /// Builds the full table: one score-order sort per unit.
     pub fn build(scores: &ScoreTable) -> PreferenceTable {
-        let prefs = (0..scores.units())
-            .map(|u| {
-                scores
-                    .preference_order(UnitId(u as u32))
-                    .into_iter()
-                    .map(|c| c as u32)
-                    .collect()
-            })
-            .collect();
-        PreferenceTable { prefs }
+        let mut table = PreferenceTable::zeroed(scores.units(), scores.clusters());
+        let mut keys = Vec::new();
+        for (u, row) in table.rows_mut().enumerate() {
+            sort_row(scores.row(u), row, &mut keys);
+        }
+        table
     }
 
-    /// Re-sorts one unit's row after its score row changed.
-    pub fn resort_row(&mut self, scores: &ScoreTable, unit: UnitId) {
-        self.prefs[unit.index()] = scores
-            .preference_order(unit)
-            .into_iter()
-            .map(|c| c as u32)
-            .collect();
+    /// A table of `units` all-zero rows over `clusters` clusters.
+    pub(crate) fn zeroed(units: usize, clusters: usize) -> PreferenceTable {
+        assert!(clusters <= 1 << 16, "cluster indices must fit in u16");
+        PreferenceTable {
+            stride: clusters,
+            flat: vec![0; units * clusters],
+        }
+    }
+
+    /// Every row, mutably, in unit order.
+    pub(crate) fn rows_mut(&mut self) -> impl Iterator<Item = &mut [u16]> {
+        self.flat.chunks_mut(self.stride.max(1))
     }
 
     /// A unit's clusters, best first.
-    pub fn row(&self, unit: UnitId) -> &[u32] {
-        &self.prefs[unit.index()]
+    pub fn row(&self, unit: UnitId) -> &[u16] {
+        &self.flat[unit.index() * self.stride..(unit.index() + 1) * self.stride]
     }
 
     /// Number of unit rows.
     pub fn len(&self) -> usize {
-        self.prefs.len()
+        self.flat.len().checked_div(self.stride).unwrap_or(0)
     }
 
     /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.prefs.is_empty()
+        self.flat.is_empty()
+    }
+}
+
+/// Writes the clusters of one score row into `out`, best first.
+///
+/// Each cluster is keyed `(monotone u32 image of its f32 score) << 32 |
+/// cluster`, and the keys are sorted unstably. The image orders exactly
+/// as `f32::partial_cmp` (−0.0 is mapped to +0.0 first, so the two tie;
+/// +∞ sorts last; NaN panics as the comparison would), and equal scores
+/// fall back to the cluster index, so the order is the one a stable
+/// `partial_cmp` sort of `0..clusters` produces.
+pub(crate) fn sort_row(scores: &[f32], out: &mut [u16], keys: &mut Vec<u64>) {
+    keys.clear();
+    keys.extend(
+        scores
+            .iter()
+            .enumerate()
+            .map(|(c, s)| (u64::from(score_key(*s)) << 32) | c as u64),
+    );
+    keys.sort_unstable();
+    for (o, k) in out.iter_mut().zip(keys.iter()) {
+        *o = *k as u16;
+    }
+}
+
+/// The monotone `u32` image of a score (see [`sort_row`]).
+fn score_key(score: f32) -> u32 {
+    assert!(!score.is_nan(), "finite score");
+    let bits = (score + 0.0).to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
     }
 }
 
@@ -509,6 +549,42 @@ mod tests {
                 "{algo:?} mean score {m:.1} no better than random {random_mean:.1}"
             );
         }
+    }
+
+    proptest::proptest! {
+        /// The keyed unstable sort orders a row exactly as a stable
+        /// `partial_cmp` sort of the cluster indices does, on rows dense
+        /// with ties, ±0.0 and ±∞.
+        #[test]
+        fn keyed_sort_matches_stable_partial_cmp_sort(
+            picks in proptest::collection::vec(0u8..8, 0..40),
+            noise in proptest::collection::vec(-1e6f32..1e6, 40),
+        ) {
+            let row: Vec<f32> = picks
+                .iter()
+                .zip(&noise)
+                .map(|(p, x)| match p {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    4 => 17.25,
+                    5 => -17.25,
+                    _ => *x,
+                })
+                .collect();
+            let mut stable: Vec<u16> = (0..row.len() as u16).collect();
+            stable.sort_by(|a, b| row[*a as usize].partial_cmp(&row[*b as usize]).unwrap());
+            let mut keyed = vec![0u16; row.len()];
+            sort_row(&row, &mut keyed, &mut Vec::new());
+            proptest::prop_assert_eq!(keyed, stable);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite score")]
+    fn keyed_sort_panics_on_nan() {
+        sort_row(&[1.0, f32::NAN], &mut [0; 2], &mut Vec::new());
     }
 
     #[test]

@@ -12,8 +12,22 @@
 //! is then proxied by its nearest target. Pings are measured with
 //! [`ping_ms`](eum_netmodel::LatencyModel::ping_ms), which — like real pings to enroute routers —
 //! underestimate full client RTT (the paper's explicit caveat).
+//!
+//! Both searches are exact, with a cosine prefilter. Each target's unit
+//! vector is stored once; the dot product `cos θ` of two unit vectors and
+//! the haversine's `h = (1 − cos θ)/2` are both accurate to a few 1e-16,
+//! and the haversine maps `h` through the increasing `2·asin(√h)`, so if
+//! it ranks target `i` no farther than `j` then `dot_i ≥ dot_j − ~1e-15`.
+//! The nearest-target search takes `c* = max dot` and runs the strict-`<`
+//! haversine scan, in index order, over only the targets with `dot ≥ c* −
+//! 1e-9`: that set holds the full scan's pick and all its earlier-indexed
+//! ties, so the pick is the same. The covering test decides by cosine
+//! outside `cos(r/R) ± 1e-9` and by the haversine `< r` inside that band.
+//! The slack is six orders of magnitude above the rounding; the tests
+//! check both searches against the plain scans on random, duplicated,
+//! tied, polar, antimeridian, antipodal and radius-boundary points.
 
-use eum_geo::GeoPoint;
+use eum_geo::{GeoPoint, EARTH_RADIUS_MILES};
 use eum_netmodel::{BlockId, Endpoint, Internet};
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +51,8 @@ pub struct PingTargets {
     pub target_blocks: Vec<BlockId>,
     /// Per-block nearest target (indexed by `BlockId`).
     block_to_target: Vec<TargetId>,
+    /// Target positions, for the prefiltered searches.
+    index: TargetIndex,
 }
 
 impl PingTargets {
@@ -52,18 +68,15 @@ impl PingTargets {
 
         let mut targets: Vec<Endpoint> = Vec::new();
         let mut target_blocks: Vec<BlockId> = Vec::new();
-        let mut target_points: Vec<GeoPoint> = Vec::new();
+        let mut index = TargetIndex::default();
         for b in &order {
             if targets.len() >= max_targets {
                 break;
             }
-            let covered = target_points
-                .iter()
-                .any(|p| p.distance_miles(&b.loc) < cover_radius_miles);
-            if !covered {
+            if !index.covers(&b.loc, cover_radius_miles) {
                 targets.push(b.endpoint());
                 target_blocks.push(b.id);
-                target_points.push(b.loc);
+                index.push(b.loc);
             }
         }
         if targets.is_empty() {
@@ -71,19 +84,16 @@ impl PingTargets {
             let b = order.first().expect("non-empty Internet");
             targets.push(b.endpoint());
             target_blocks.push(b.id);
-            target_points.push(b.loc);
+            index.push(b.loc);
         }
 
         // Nearest-target assignment for every block.
-        let block_to_target = net
-            .blocks
-            .iter()
-            .map(|b| nearest_point(&target_points, &b.loc))
-            .collect();
+        let block_to_target = net.blocks.iter().map(|b| index.nearest(&b.loc)).collect();
         PingTargets {
             targets,
             target_blocks,
             block_to_target,
+            index,
         }
     }
 
@@ -105,24 +115,81 @@ impl PingTargets {
     /// The proxy target nearest to an arbitrary point (for LDNSes and
     /// unit centroids).
     pub fn target_of_point(&self, point: &GeoPoint) -> TargetId {
-        nearest_point(
-            &self.targets.iter().map(|t| t.loc).collect::<Vec<_>>(),
-            point,
-        )
+        self.index.nearest(point)
     }
 }
 
-fn nearest_point(points: &[GeoPoint], p: &GeoPoint) -> TargetId {
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (i, t) in points.iter().enumerate() {
-        let d = t.distance_miles(p);
-        if d < best_d {
-            best_d = d;
-            best = i;
-        }
+/// Slack on cosines that absorbs rounding in both the dot product and
+/// the haversine (see the module docs).
+const COS_SLACK: f64 = 1e-9;
+
+/// Points with their unit vectors, searched by cosine first and decided
+/// by the haversine exactly as a plain scan would decide.
+#[derive(Debug, Clone, Default)]
+struct TargetIndex {
+    points: Vec<GeoPoint>,
+    units: Vec<[f64; 3]>,
+}
+
+fn unit_vector(p: &GeoPoint) -> [f64; 3] {
+    let (lat, lon) = (p.lat().to_radians(), p.lon().to_radians());
+    [lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin()]
+}
+
+fn dot(a: &[f64; 3], b: &[f64; 3]) -> f64 {
+    a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+}
+
+impl TargetIndex {
+    fn push(&mut self, p: GeoPoint) {
+        self.points.push(p);
+        self.units.push(unit_vector(&p));
     }
-    TargetId(best as u32)
+
+    /// The first point at the least haversine distance from `p` (0 when
+    /// there is none), scanning only points within [`COS_SLACK`] of the
+    /// largest cosine.
+    fn nearest(&self, p: &GeoPoint) -> TargetId {
+        let u = unit_vector(p);
+        let floor = self
+            .units
+            .iter()
+            .map(|v| dot(&u, v))
+            .fold(f64::NEG_INFINITY, f64::max)
+            - COS_SLACK;
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        for (i, (t, v)) in self.points.iter().zip(&self.units).enumerate() {
+            if dot(&u, v) < floor {
+                continue;
+            }
+            let d = t.distance_miles(p);
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        TargetId(best as u32)
+    }
+
+    /// True when some point's haversine distance to `p` is below
+    /// `radius_miles`; the haversine runs only inside the cosine band.
+    fn covers(&self, p: &GeoPoint, radius_miles: f64) -> bool {
+        let u = unit_vector(p);
+        let cos_r = (radius_miles / EARTH_RADIUS_MILES)
+            .clamp(0.0, std::f64::consts::PI)
+            .cos();
+        self.points.iter().zip(&self.units).any(|(t, v)| {
+            let c = dot(&u, v);
+            if c > cos_r + COS_SLACK {
+                true
+            } else if c < cos_r - COS_SLACK {
+                false
+            } else {
+                t.distance_miles(p) < radius_miles
+            }
+        })
+    }
 }
 
 /// A deployments × targets matrix of ping latencies.
@@ -273,6 +340,118 @@ mod tests {
         let t = PingTargets::select(&net, 30, 150.0);
         for b in net.blocks.iter().take(20) {
             assert_eq!(t.target_of_point(&b.loc), t.target_of_block(b.id));
+        }
+    }
+
+    /// The plain scans the prefiltered searches must reproduce.
+    fn scan_nearest(points: &[GeoPoint], p: &GeoPoint) -> TargetId {
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        for (i, t) in points.iter().enumerate() {
+            let d = t.distance_miles(p);
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        TargetId(best as u32)
+    }
+
+    fn scan_covers(points: &[GeoPoint], p: &GeoPoint, r: f64) -> bool {
+        points.iter().any(|t| t.distance_miles(p) < r)
+    }
+
+    /// Adversarial point sets: uniform points mixed with exact duplicates,
+    /// poles, the ±180° meridian, antipodes, mirror-image ties around the
+    /// query and sub-metre neighbours of it.
+    fn adversarial(seed: u64, n: usize) -> (Vec<GeoPoint>, GeoPoint) {
+        let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+        let uniform = |rng: &mut proptest::TestRng| {
+            GeoPoint::new(
+                rng.unit_f64() * 180.0 - 90.0,
+                rng.unit_f64() * 360.0 - 180.0,
+            )
+        };
+        let antipode = |p: &GeoPoint| GeoPoint::new(-p.lat(), p.lon() + 180.0);
+        let q = match rng.below(4) {
+            0 => GeoPoint::new(90.0, 0.0),
+            1 => GeoPoint::new(rng.unit_f64() * 40.0, 180.0),
+            _ => uniform(&mut rng),
+        };
+        let mut pts: Vec<GeoPoint> = Vec::new();
+        while pts.len() < n {
+            let pick = rng.below(8);
+            let p = match pick {
+                1 if !pts.is_empty() => pts[rng.below(pts.len() as u64) as usize],
+                2 => GeoPoint::new(
+                    if rng.below(2) == 0 { 90.0 } else { -90.0 },
+                    rng.unit_f64() * 360.0 - 180.0,
+                ),
+                3 => GeoPoint::new(
+                    rng.unit_f64() * 180.0 - 90.0,
+                    if rng.below(2) == 0 { 180.0 } else { -180.0 },
+                ),
+                4 => antipode(&q),
+                5 => {
+                    let d = rng.unit_f64() * 3.0;
+                    pts.push(GeoPoint::new(q.lat(), q.lon() - d));
+                    GeoPoint::new(q.lat(), q.lon() + d)
+                }
+                6 => GeoPoint::new(
+                    q.lat() + (rng.unit_f64() - 0.5) * 1e-6,
+                    q.lon() + (rng.unit_f64() - 0.5) * 1e-6,
+                ),
+                7 => q,
+                _ => uniform(&mut rng),
+            };
+            pts.push(p);
+        }
+        (pts, q)
+    }
+
+    fn index_of(points: &[GeoPoint]) -> TargetIndex {
+        let mut index = TargetIndex::default();
+        for p in points {
+            index.push(*p);
+        }
+        index
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prefiltered_nearest_matches_haversine_scan(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..48,
+        ) {
+            let (pts, q) = adversarial(seed, n);
+            let index = index_of(&pts);
+            let antipode = GeoPoint::new(-q.lat(), q.lon() + 180.0);
+            for p in pts.iter().chain([&q, &antipode]) {
+                proptest::prop_assert_eq!(index.nearest(p), scan_nearest(&pts, p));
+            }
+        }
+
+        #[test]
+        fn prefiltered_covering_matches_haversine_scan(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1usize..48,
+            r in 0.0f64..13_000.0,
+        ) {
+            let (pts, q) = adversarial(seed, n);
+            let index = index_of(&pts);
+            // Radii on the boundary of every point, one ulp either side,
+            // and the degenerate ones.
+            let mut radii = vec![r, 0.0, -1.0, 1e9, f64::INFINITY, f64::NAN];
+            for p in &pts {
+                let d = p.distance_miles(&q);
+                radii.extend([d, f64::from_bits(d.to_bits() + 1)]);
+                if d > 0.0 {
+                    radii.push(f64::from_bits(d.to_bits() - 1));
+                }
+            }
+            for r in radii {
+                proptest::prop_assert_eq!(index.covers(&q, r), scan_covers(&pts, &q, r), "r = {}", r);
+            }
         }
     }
 }

@@ -8,10 +8,21 @@
 //!
 //! A score is "expected badness in milliseconds": measured ping latency
 //! plus a loss penalty expressed in equivalent milliseconds. Lower wins.
+//!
+//! One measurement serves every traffic class, as in the paper: the
+//! topological map is class-independent and only the scoring function
+//! differs. The kernel ([`build_classes`], [`rescore_classes`]) finds a
+//! unit's ping target once and reads its `(rtt, loss)` toward each
+//! cluster once (per member and cluster under
+//! [`ScoreBasis::MemberClients`]), then weighs that one measurement with
+//! each class's [`ScoringWeights`] into the class's score row and sorts
+//! the class's preference row. [`ScoreTable::build`] and
+//! [`PreferenceTable::build`] are its one-class forms.
 
+use crate::global_lb::{sort_row, PreferenceTable};
 use crate::measure::{PingMatrix, PingTargets};
 use crate::units::{MapUnits, UnitId};
-use eum_netmodel::{Endpoint, Internet};
+use eum_netmodel::{BlockId, Endpoint, Internet};
 use serde::{Deserialize, Serialize};
 
 /// Weights of the scoring function (traffic-class dependent; the defaults
@@ -104,177 +115,20 @@ impl ScoreTable {
         basis: ScoreBasis,
         member_cap: usize,
     ) -> ScoreTable {
-        Self::build_parallel(
+        let inputs = ScoreInputs {
             net,
             units,
-            unit_vantages,
-            cluster_endpoints,
+            vantages: unit_vantages,
+            clusters: cluster_endpoints,
             targets,
             matrix,
-            weights,
             basis,
             member_cap,
-            1,
-        )
-    }
-
-    /// [`build`](Self::build) with the per-unit scoring pass chunked
-    /// across `workers` threads.
-    ///
-    /// Units are split into contiguous ranges, and each worker owns the
-    /// matching disjoint slice of the flat row-major table — the "merge"
-    /// is the memory layout itself, so the result is bit-identical to
-    /// the sequential pass regardless of scheduling. `workers <= 1` (the
-    /// single-core case) runs inline with no thread spawns.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_parallel(
-        net: &Internet,
-        units: &MapUnits,
-        unit_vantages: &[Endpoint],
-        cluster_endpoints: &[Endpoint],
-        targets: &PingTargets,
-        matrix: &PingMatrix,
-        weights: ScoringWeights,
-        basis: ScoreBasis,
-        member_cap: usize,
-        workers: usize,
-    ) -> ScoreTable {
-        assert_eq!(unit_vantages.len(), units.len(), "one vantage per unit");
-        assert_eq!(
-            matrix.deployments(),
-            cluster_endpoints.len(),
-            "matrix rows = clusters"
-        );
-        let n_clusters = cluster_endpoints.len();
-        let mut scores = vec![0f32; units.len() * n_clusters];
-        let workers = workers.max(1).min(units.len().max(1));
-        if workers <= 1 || n_clusters == 0 {
-            for (ui, info) in units.units.iter().enumerate() {
-                score_row(
-                    net,
-                    info,
-                    &unit_vantages[ui],
-                    cluster_endpoints,
-                    targets,
-                    matrix,
-                    weights,
-                    basis,
-                    member_cap,
-                    &mut scores[ui * n_clusters..(ui + 1) * n_clusters],
-                );
-            }
-        } else {
-            let rows_per_chunk = units.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                for (wi, chunk) in scores.chunks_mut(rows_per_chunk * n_clusters).enumerate() {
-                    let first = wi * rows_per_chunk;
-                    s.spawn(move || {
-                        for (j, row) in chunk.chunks_mut(n_clusters).enumerate() {
-                            let ui = first + j;
-                            score_row(
-                                net,
-                                &units.units[ui],
-                                &unit_vantages[ui],
-                                cluster_endpoints,
-                                targets,
-                                matrix,
-                                weights,
-                                basis,
-                                member_cap,
-                                row,
-                            );
-                        }
-                    });
-                }
-            });
-        }
-        ScoreTable { n_clusters, scores }
-    }
-
-    /// Recomputes the score rows for `rows` in place — the incremental
-    /// rebuild's rescore pass for explicitly-hinted units.
-    ///
-    /// The (typically scattered) row list is chunked across `workers`
-    /// threads; each worker fills a private buffer, and the buffers are
-    /// copied back in chunk order on the calling thread, so the result
-    /// is deterministic and identical to the sequential pass.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rescore_rows(
-        &mut self,
-        net: &Internet,
-        units: &MapUnits,
-        unit_vantages: &[Endpoint],
-        cluster_endpoints: &[Endpoint],
-        targets: &PingTargets,
-        matrix: &PingMatrix,
-        weights: ScoringWeights,
-        basis: ScoreBasis,
-        member_cap: usize,
-        rows: &[UnitId],
-        workers: usize,
-    ) {
-        assert_eq!(unit_vantages.len(), units.len(), "one vantage per unit");
-        assert_eq!(self.n_clusters, cluster_endpoints.len());
-        let n = self.n_clusters;
-        if n == 0 || rows.is_empty() {
-            return;
-        }
-        let workers = workers.max(1).min(rows.len());
-        if workers <= 1 {
-            for uid in rows {
-                let ui = uid.index();
-                score_row(
-                    net,
-                    &units.units[ui],
-                    &unit_vantages[ui],
-                    cluster_endpoints,
-                    targets,
-                    matrix,
-                    weights,
-                    basis,
-                    member_cap,
-                    &mut self.scores[ui * n..(ui + 1) * n],
-                );
-            }
-            return;
-        }
-        let per = rows.len().div_ceil(workers);
-        let computed: Vec<Vec<f32>> = std::thread::scope(|s| {
-            let handles: Vec<_> = rows
-                .chunks(per)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        let mut buf = vec![0f32; chunk.len() * n];
-                        for (j, uid) in chunk.iter().enumerate() {
-                            let ui = uid.index();
-                            score_row(
-                                net,
-                                &units.units[ui],
-                                &unit_vantages[ui],
-                                cluster_endpoints,
-                                targets,
-                                matrix,
-                                weights,
-                                basis,
-                                member_cap,
-                                &mut buf[j * n..(j + 1) * n],
-                            );
-                        }
-                        buf
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rescore worker panicked"))
-                .collect()
-        });
-        for (chunk, buf) in rows.chunks(per).zip(computed) {
-            for (j, uid) in chunk.iter().enumerate() {
-                let ui = uid.index();
-                self.scores[ui * n..(ui + 1) * n].copy_from_slice(&buf[j * n..(j + 1) * n]);
-            }
-        }
+        };
+        build_classes(&inputs, &[weights], 1)
+            .pop()
+            .expect("one class in, one out")
+            .scores
     }
 
     /// Number of clusters (columns).
@@ -292,15 +146,9 @@ impl ScoreTable {
         self.scores[unit.index() * self.n_clusters + cluster] as f64
     }
 
-    /// Clusters sorted best-first for a unit.
-    pub fn preference_order(&self, unit: UnitId) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.n_clusters).collect();
-        order.sort_by(|a, b| {
-            self.score(unit, *a)
-                .partial_cmp(&self.score(unit, *b))
-                .expect("finite score")
-        });
-        order
+    /// One unit's scores, indexed by cluster.
+    pub(crate) fn row(&self, unit: usize) -> &[f32] {
+        &self.scores[unit * self.n_clusters..(unit + 1) * self.n_clusters]
     }
 
     /// The best-scoring cluster among a candidate set (e.g. live clusters).
@@ -320,67 +168,209 @@ impl ScoreTable {
     }
 }
 
-/// Scores one unit against every cluster into `row` (len = clusters).
+/// Everything one scoring pass reads.
+#[derive(Clone, Copy)]
+pub(crate) struct ScoreInputs<'a> {
+    pub(crate) net: &'a Internet,
+    pub(crate) units: &'a MapUnits,
+    /// One vantage per unit.
+    pub(crate) vantages: &'a [Endpoint],
+    /// Cluster endpoints, in load-balancer order (the matrix's rows).
+    pub(crate) clusters: &'a [Endpoint],
+    pub(crate) targets: &'a PingTargets,
+    pub(crate) matrix: &'a PingMatrix,
+    pub(crate) basis: ScoreBasis,
+    pub(crate) member_cap: usize,
+}
+
+/// One traffic class's weights with its score and preference tables.
+#[derive(Debug, Clone)]
+pub(crate) struct ClassTables {
+    pub(crate) weights: ScoringWeights,
+    pub(crate) scores: ScoreTable,
+    pub(crate) prefs: PreferenceTable,
+}
+
+/// Scores every unit for every class in `weights` — see
+/// [`rescore_classes`], which this runs over all rows of fresh tables.
+pub(crate) fn build_classes(
+    inputs: &ScoreInputs,
+    weights: &[ScoringWeights],
+    workers: usize,
+) -> Vec<ClassTables> {
+    let (n_units, n_clusters) = (inputs.units.len(), inputs.clusters.len());
+    let mut tables: Vec<ClassTables> = weights
+        .iter()
+        .map(|w| ClassTables {
+            weights: *w,
+            scores: ScoreTable {
+                n_clusters,
+                scores: vec![0f32; n_units * n_clusters],
+            },
+            prefs: PreferenceTable::zeroed(n_units, n_clusters),
+        })
+        .collect();
+    let all: Vec<UnitId> = (0..n_units).map(|u| UnitId(u as u32)).collect();
+    rescore_classes(inputs, &mut tables, &all, workers);
+    tables
+}
+
+/// One class's `(score row, preference row)` slices for one worker's
+/// units, in unit order.
+type RowSlices<'t> = Vec<(&'t mut [f32], &'t mut [u16])>;
+
+/// Re-scores `rows` (ascending, no repeats) of every class's tables in
+/// place: the incremental rebuild's rescore pass, and the whole of a full
+/// build.
 ///
-/// This is the unit of work both the chunked parallel build and the
-/// incremental rescore pass share, so a row's value cannot depend on
-/// which path computed it.
-#[allow(clippy::too_many_arguments)]
-fn score_row(
-    net: &Internet,
-    info: &crate::units::MapUnitInfo,
-    vantage: &Endpoint,
-    cluster_endpoints: &[Endpoint],
-    targets: &PingTargets,
-    matrix: &PingMatrix,
-    weights: ScoringWeights,
-    basis: ScoreBasis,
-    member_cap: usize,
-    row: &mut [f32],
+/// The rows are split into contiguous runs across `workers` threads.
+/// Every worker is handed its own rows' slices of every class's score
+/// and preference tables and writes them directly, so the result cannot
+/// depend on scheduling, and no buffer is merged afterwards. `workers <=
+/// 1` runs inline with no thread spawns.
+pub(crate) fn rescore_classes(
+    inputs: &ScoreInputs,
+    tables: &mut [ClassTables],
+    rows: &[UnitId],
+    workers: usize,
 ) {
-    match basis {
-        ScoreBasis::UnitVantage => {
-            let t = targets.target_of_point(&vantage.loc);
-            for (ci, cep) in cluster_endpoints.iter().enumerate() {
-                let rtt = matrix.ping(ci, t) + 2.0 * vantage.access_ms;
-                let loss = net.latency.loss_rate(cep, vantage);
-                row[ci] = weights.combine(rtt, loss) as f32;
+    let n = inputs.clusters.len();
+    assert_eq!(
+        inputs.vantages.len(),
+        inputs.units.len(),
+        "one vantage per unit"
+    );
+    assert_eq!(inputs.matrix.deployments(), n, "matrix rows = clusters");
+    assert!(tables.iter().all(|t| t.scores.n_clusters == n));
+    assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascend");
+    if n == 0 || rows.is_empty() {
+        return;
+    }
+    let per = rows.len().div_ceil(workers.max(1));
+    let mut shares: Vec<(&[UnitId], Vec<RowSlices>)> =
+        rows.chunks(per).map(|r| (r, Vec::new())).collect();
+    let weights: Vec<ScoringWeights> = tables.iter().map(|t| t.weights).collect();
+    for t in tables.iter_mut() {
+        let mut pending = rows.iter().enumerate().peekable();
+        let unit_rows = t.scores.scores.chunks_mut(n).zip(t.prefs.rows_mut());
+        for (u, pair) in unit_rows.enumerate() {
+            let Some((j, _)) = pending.next_if(|(_, r)| r.index() == u) else {
+                continue;
+            };
+            let share = &mut shares[j / per].1;
+            if j % per == 0 {
+                share.push(Vec::new());
+            }
+            share.last_mut().expect("pushed above").push(pair);
+        }
+        assert!(pending.next().is_none(), "row out of range");
+    }
+    let weights = &weights;
+    let run = |(units, mut out): (&[UnitId], Vec<RowSlices>)| {
+        let mut scratch = Scratch::default();
+        for (j, u) in units.iter().enumerate() {
+            inputs.measure(u.index(), &mut scratch);
+            for (w, class) in weights.iter().zip(out.iter_mut()) {
+                let (row, prefs) = &mut class[j];
+                inputs.weigh(w, &scratch, row);
+                sort_row(row, prefs, &mut scratch.keys);
             }
         }
-        ScoreBasis::MemberClients => {
-            // Cap members by demand.
-            let mut members: Vec<_> = info.members.to_vec();
-            members.sort_by(|a, b| {
-                net.block(*b)
-                    .demand
-                    .partial_cmp(&net.block(*a).demand)
-                    .expect("finite demand")
-            });
-            members.truncate(member_cap.max(1));
-            let member_info: Vec<(crate::measure::TargetId, f64, Endpoint)> = members
-                .iter()
-                .map(|b| {
-                    (
-                        targets.target_of_block(*b),
-                        net.block(*b).demand,
-                        net.block(*b).endpoint(),
-                    )
-                })
-                .collect();
-            let total: f64 = member_info.iter().map(|(_, d, _)| d).sum();
-            for (ci, cep) in cluster_endpoints.iter().enumerate() {
-                let mut acc = 0.0;
-                for (t, d, ep) in &member_info {
-                    let rtt = matrix.ping(ci, *t) + 2.0 * ep.access_ms;
-                    let loss = net.latency.loss_rate(cep, ep);
-                    acc += weights.combine(rtt, loss) * d;
+    };
+    if shares.len() == 1 {
+        shares.into_iter().for_each(run);
+    } else {
+        std::thread::scope(|s| {
+            for share in shares {
+                s.spawn(move || run(share));
+            }
+        });
+    }
+}
+
+/// A worker's reusable buffers: one unit's measurement and the sort keys.
+#[derive(Default)]
+struct Scratch {
+    members: Vec<BlockId>,
+    /// Kept members' demands, in member order (empty under
+    /// [`ScoreBasis::UnitVantage`]).
+    demands: Vec<f64>,
+    /// Sum of `demands`.
+    total: f64,
+    /// `(rtt, loss)` cluster-major: one per cluster, or one per member
+    /// for each cluster under [`ScoreBasis::MemberClients`].
+    measured: Vec<(f64, f64)>,
+    keys: Vec<u64>,
+}
+
+impl ScoreInputs<'_> {
+    /// Reads unit `ui`'s ping target(s) and its `(rtt, loss)` toward every
+    /// cluster into `s` — once, whatever the number of classes.
+    fn measure(&self, ui: usize, s: &mut Scratch) {
+        let (net, matrix) = (self.net, self.matrix);
+        s.measured.clear();
+        match self.basis {
+            ScoreBasis::UnitVantage => {
+                let vantage = &self.vantages[ui];
+                let t = self.targets.target_of_point(&vantage.loc);
+                s.measured
+                    .extend(self.clusters.iter().enumerate().map(|(ci, cep)| {
+                        let rtt = matrix.ping(ci, t) + 2.0 * vantage.access_ms;
+                        (rtt, net.latency.loss_rate(cep, vantage))
+                    }));
+            }
+            ScoreBasis::MemberClients => {
+                // Cap members by demand.
+                s.members.clear();
+                s.members.extend_from_slice(&self.units.units[ui].members);
+                s.members.sort_by(|a, b| {
+                    net.block(*b)
+                        .demand
+                        .partial_cmp(&net.block(*a).demand)
+                        .expect("finite demand")
+                });
+                s.members.truncate(self.member_cap.max(1));
+                s.demands.clear();
+                s.demands
+                    .extend(s.members.iter().map(|b| net.block(*b).demand));
+                s.total = s.demands.iter().sum();
+                let m = s.members.len();
+                s.measured.resize(m * self.clusters.len(), (0.0, 0.0));
+                for (k, b) in s.members.iter().enumerate() {
+                    let t = self.targets.target_of_block(*b);
+                    let ep = net.block(*b).endpoint();
+                    for (ci, cep) in self.clusters.iter().enumerate() {
+                        let rtt = matrix.ping(ci, t) + 2.0 * ep.access_ms;
+                        s.measured[ci * m + k] = (rtt, net.latency.loss_rate(cep, &ep));
+                    }
                 }
-                let score = if total > 0.0 {
-                    acc / total
-                } else {
-                    f64::INFINITY
-                };
-                row[ci] = score as f32;
+            }
+        }
+    }
+
+    /// Weighs the measurement in `s` into one class's score row.
+    fn weigh(&self, weights: &ScoringWeights, s: &Scratch, row: &mut [f32]) {
+        match self.basis {
+            ScoreBasis::UnitVantage => {
+                for (x, (rtt, loss)) in row.iter_mut().zip(&s.measured) {
+                    *x = weights.combine(*rtt, *loss) as f32;
+                }
+            }
+            ScoreBasis::MemberClients => {
+                let m = s.demands.len();
+                for (ci, x) in row.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for ((rtt, loss), d) in s.measured[ci * m..(ci + 1) * m].iter().zip(&s.demands)
+                    {
+                        acc += weights.combine(*rtt, *loss) * d;
+                    }
+                    let score = if s.total > 0.0 {
+                        acc / s.total
+                    } else {
+                        f64::INFINITY
+                    };
+                    *x = score as f32;
+                }
             }
         }
     }
@@ -458,11 +448,14 @@ mod tests {
             ScoreBasis::UnitVantage,
             50,
         );
-        let u = UnitId(0);
-        let order = table.preference_order(u);
-        assert_eq!(order.len(), clusters.len());
-        for pair in order.windows(2) {
-            assert!(table.score(u, pair[0]) <= table.score(u, pair[1]));
+        let prefs = PreferenceTable::build(&table);
+        for u in (0..units.len()).map(|u| UnitId(u as u32)) {
+            let order = prefs.row(u);
+            assert_eq!(order.len(), clusters.len());
+            for pair in order.windows(2) {
+                let (a, b) = (pair[0] as usize, pair[1] as usize);
+                assert!(table.score(u, a) <= table.score(u, b));
+            }
         }
     }
 
@@ -539,66 +532,142 @@ mod tests {
         assert!(any_diff, "CANS scoring never differed from NS scoring");
     }
 
-    #[test]
-    fn parallel_build_and_rescore_match_sequential_bitwise() {
-        let (net, units, clusters, targets, matrix) = setup();
-        let v = vantages(&net, &units);
-        for basis in [ScoreBasis::UnitVantage, ScoreBasis::MemberClients] {
-            let seq = ScoreTable::build(
-                &net,
-                &units,
-                &v,
-                &clusters,
-                &targets,
-                &matrix,
-                ScoringWeights::default(),
-                basis,
-                50,
-            );
-            let par = ScoreTable::build_parallel(
-                &net,
-                &units,
-                &v,
-                &clusters,
-                &targets,
-                &matrix,
-                ScoringWeights::default(),
-                basis,
-                50,
-                4,
-            );
-            for u in 0..units.len() {
-                for c in 0..clusters.len() {
-                    let uid = UnitId(u as u32);
-                    assert_eq!(seq.score(uid, c).to_bits(), par.score(uid, c).to_bits());
+    /// The per-class scorer this module had before one measurement pass
+    /// served every class: the reference the kernel must equal bit for
+    /// bit.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_row(
+        net: &Internet,
+        info: &crate::units::MapUnitInfo,
+        vantage: &Endpoint,
+        clusters: &[Endpoint],
+        targets: &PingTargets,
+        matrix: &PingMatrix,
+        weights: ScoringWeights,
+        basis: ScoreBasis,
+        member_cap: usize,
+    ) -> Vec<f32> {
+        let mut row = Vec::new();
+        match basis {
+            ScoreBasis::UnitVantage => {
+                let t = targets.target_of_point(&vantage.loc);
+                for (ci, cep) in clusters.iter().enumerate() {
+                    let rtt = matrix.ping(ci, t) + 2.0 * vantage.access_ms;
+                    let loss = net.latency.loss_rate(cep, vantage);
+                    row.push(weights.combine(rtt, loss) as f32);
                 }
             }
+            ScoreBasis::MemberClients => {
+                let mut members = info.members.to_vec();
+                members.sort_by(|a, b| {
+                    net.block(*b)
+                        .demand
+                        .partial_cmp(&net.block(*a).demand)
+                        .unwrap()
+                });
+                members.truncate(member_cap.max(1));
+                let total: f64 = members.iter().map(|b| net.block(*b).demand).sum();
+                for (ci, cep) in clusters.iter().enumerate() {
+                    let mut acc = 0.0;
+                    for b in &members {
+                        let ep = net.block(*b).endpoint();
+                        let rtt = matrix.ping(ci, targets.target_of_block(*b)) + 2.0 * ep.access_ms;
+                        let loss = net.latency.loss_rate(cep, &ep);
+                        acc += weights.combine(rtt, loss) * net.block(*b).demand;
+                    }
+                    let score = if total > 0.0 {
+                        acc / total
+                    } else {
+                        f64::INFINITY
+                    };
+                    row.push(score as f32);
+                }
+            }
+        }
+        row
+    }
+
+    /// A stable `partial_cmp` sort of the clusters by score.
+    fn reference_order(row: &[f32]) -> Vec<u16> {
+        let mut order: Vec<u16> = (0..row.len() as u16).collect();
+        order.sort_by(|a, b| row[*a as usize].partial_cmp(&row[*b as usize]).unwrap());
+        order
+    }
+
+    #[test]
+    fn parallel_build_and_rescore_match_sequential_bitwise() {
+        let (net, blocks, clusters, targets, matrix) = setup();
+        let ldns = MapUnits::ldns_units(&net);
+        let ldns_vantages: Vec<Endpoint> = ldns
+            .units
+            .iter()
+            .map(|u| match u.key {
+                crate::units::UnitKey::Ldns(r) => net.resolver(r).endpoint(),
+                _ => unreachable!(),
+            })
+            .collect();
+        let weights: Vec<ScoringWeights> = eum_cdn::TrafficClass::ALL
+            .map(ScoringWeights::for_class)
+            .to_vec();
+        let cases = [
+            (&blocks, vantages(&net, &blocks), ScoreBasis::UnitVantage),
+            (&ldns, ldns_vantages.clone(), ScoreBasis::UnitVantage),
+            (&ldns, ldns_vantages, ScoreBasis::MemberClients),
+        ];
+        for (units, v, basis) in cases {
+            let inputs = ScoreInputs {
+                net: &net,
+                units,
+                vantages: &v,
+                clusters: &clusters,
+                targets: &targets,
+                matrix: &matrix,
+                basis,
+                member_cap: 3,
+            };
+            let expect = |tables: &[ClassTables], what: &str| {
+                assert_eq!(tables.len(), weights.len());
+                for (t, w) in tables.iter().zip(&weights) {
+                    let one = ScoreTable::build(
+                        &net, units, &v, &clusters, &targets, &matrix, *w, basis, 3,
+                    );
+                    let one_prefs = PreferenceTable::build(&one);
+                    for (u, info) in units.units.iter().enumerate() {
+                        let uid = UnitId(u as u32);
+                        let reference = reference_row(
+                            &net, info, &v[u], &clusters, &targets, &matrix, *w, basis, 3,
+                        );
+                        for (c, r) in reference.iter().enumerate() {
+                            let bits = r.to_bits() as u64;
+                            assert_eq!(t.scores.row(u)[c].to_bits() as u64, bits, "{what}");
+                            assert_eq!((one.score(uid, c) as f32).to_bits() as u64, bits);
+                        }
+                        assert_eq!(t.prefs.row(uid), reference_order(&reference), "{what}");
+                        assert_eq!(one_prefs.row(uid), t.prefs.row(uid));
+                    }
+                }
+            };
+            // The kernel inline, then chunked across workers.
+            expect(&build_classes(&inputs, &weights, 1), "one worker");
+            let mut par = build_classes(&inputs, &weights, 4);
+            expect(&par, "four workers");
             // Re-scoring a scattered subset (in parallel) over unchanged
-            // inputs must reproduce the same rows exactly.
+            // inputs, after clobbering it, must reproduce the same rows.
             let rows: Vec<UnitId> = (0..units.len())
                 .step_by(3)
                 .map(|u| UnitId(u as u32))
                 .collect();
-            let mut re = par.clone();
-            re.rescore_rows(
-                &net,
-                &units,
-                &v,
-                &clusters,
-                &targets,
-                &matrix,
-                ScoringWeights::default(),
-                basis,
-                50,
-                &rows,
-                3,
-            );
-            for u in 0..units.len() {
-                for c in 0..clusters.len() {
-                    let uid = UnitId(u as u32);
-                    assert_eq!(seq.score(uid, c).to_bits(), re.score(uid, c).to_bits());
+            let n = clusters.len();
+            for t in &mut par {
+                for r in &rows {
+                    t.scores.scores[r.index() * n..(r.index() + 1) * n].fill(-1.0);
+                }
+                for row in t.prefs.rows_mut().step_by(3) {
+                    row.fill(0);
                 }
             }
+            rescore_classes(&inputs, &mut par, &rows, 3);
+            expect(&par, "rescore");
         }
     }
 }

@@ -21,7 +21,9 @@ use crate::global_lb::{assign_with_prefs, Assignment, LbAlgorithm, PreferenceTab
 use crate::local_lb::{domain_key, ConsistentRing};
 use crate::measure::{PingMatrix, PingTargets};
 use crate::policy::MappingPolicy;
-use crate::score::{ScoreBasis, ScoreTable, ScoringWeights};
+use crate::score::{
+    build_classes, rescore_classes, ClassTables, ScoreBasis, ScoreInputs, ScoringWeights,
+};
 use crate::telemetry::{AnswerPath, MappingTelemetry};
 use crate::units::{MapUnitInfo, MapUnits, UnitId, UnitKey};
 use eum_cdn::{CdnPlatform, ClusterId, ContentCatalog, HostedDomain, ServerId, TrafficClass};
@@ -206,8 +208,9 @@ impl CandidateTable {
                 if n >= stride {
                     break;
                 }
-                if !row[..n].contains(c) {
-                    row[n] = *c;
+                let c = u32::from(*c);
+                if !row[..n].contains(&c) {
+                    row[n] = c;
                     n += 1;
                 }
             }
@@ -237,13 +240,6 @@ type Candidates = [Arc<CandidateTable>; 3];
 fn empty_candidates() -> Candidates {
     let e = Arc::new(CandidateTable::empty());
     [e.clone(), e.clone(), e]
-}
-
-/// Cached score table + preference orders for one traffic class.
-struct ClassTables {
-    weights: ScoringWeights,
-    scores: ScoreTable,
-    prefs: PreferenceTable,
 }
 
 /// Everything [`MappingSystem::rebuild_incremental`] reuses between
@@ -343,6 +339,30 @@ struct ComputedMap {
     eu_units: Option<Arc<MapUnits>>,
     eu_candidates: Candidates,
     solver: Box<SolverState>,
+    /// Wall time of each [`PhaseClock`] phase, ns.
+    phase_ns: [u64; 4],
+}
+
+/// Phases of a full map computation, indexing [`PhaseClock`] and the
+/// `phase` label of `eum_mapping_rebuild_phase_ns`: ping-target selection,
+/// the ping matrix, scoring (with the preference sorts), and the solve
+/// (assignment and candidate rows).
+const PHASE_TARGETS: usize = 0;
+const PHASE_MATRIX: usize = 1;
+const PHASE_SCORE: usize = 2;
+const PHASE_SOLVE: usize = 3;
+
+/// Accumulated wall time per phase of one map computation, ns.
+#[derive(Default)]
+struct PhaseClock([u64; 4]);
+
+impl PhaseClock {
+    fn time<T>(&mut self, phase: usize, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        self.0[phase] += start.elapsed().as_nanos() as u64;
+        out
+    }
 }
 
 /// Index of a traffic class in the per-class candidate tables.
@@ -443,6 +463,7 @@ impl MappingSystem {
                 start.elapsed().as_nanos() as u64,
                 self.total_units() as u64,
             );
+            t.record_rebuild_phases(computed.phase_ns);
         }
     }
 
@@ -526,8 +547,8 @@ impl MappingSystem {
 
         let workers = self.cfg.worker_count();
 
-        // Rescore hinted rows: refresh their cached vantages, recompute
-        // their score rows (in parallel), re-sort their preference rows.
+        // Rescore hinted rows: refresh their cached vantages, then
+        // recompute every class's score and preference rows for them.
         let ns_rows = normalize_hints(&hints.ns, self.ns_units.len());
         for uid in &ns_rows {
             solver.ns_vantages[uid.index()] = match self.ns_units.units[uid.index()].key {
@@ -535,27 +556,17 @@ impl MappingSystem {
                 UnitKey::Block(_) => unreachable!("NS units are resolver-keyed"),
             };
         }
-        if !ns_rows.is_empty() {
-            let vantages = &solver.ns_vantages;
-            for t in solver.ns.iter_mut() {
-                t.scores.rescore_rows(
-                    net,
-                    &self.ns_units,
-                    vantages,
-                    &solver.cluster_eps,
-                    &solver.targets,
-                    &solver.matrix,
-                    t.weights,
-                    solver.ns_basis,
-                    self.cfg.member_cap,
-                    &ns_rows,
-                    workers,
-                );
-                for uid in &ns_rows {
-                    t.prefs.resort_row(&t.scores, *uid);
-                }
-            }
-        }
+        let inputs = ScoreInputs {
+            net,
+            units: &self.ns_units,
+            vantages: &solver.ns_vantages,
+            clusters: &solver.cluster_eps,
+            targets: &solver.targets,
+            matrix: &solver.matrix,
+            basis: solver.ns_basis,
+            member_cap: self.cfg.member_cap,
+        };
+        rescore_classes(&inputs, &mut solver.ns, &ns_rows, workers);
         let eu_rows = match &self.eu_units {
             Some(units) => normalize_hints(&hints.eu, units.len()),
             None => Vec::new(),
@@ -564,27 +575,17 @@ impl MappingSystem {
             for uid in &eu_rows {
                 solver.eu_vantages[uid.index()] = eu_unit_vantage(net, &units.units[uid.index()]);
             }
-            if !eu_rows.is_empty() {
-                let vantages = &solver.eu_vantages;
-                for t in solver.eu.iter_mut() {
-                    t.scores.rescore_rows(
-                        net,
-                        units,
-                        vantages,
-                        &solver.cluster_eps,
-                        &solver.targets,
-                        &solver.matrix,
-                        t.weights,
-                        ScoreBasis::UnitVantage,
-                        self.cfg.member_cap,
-                        &eu_rows,
-                        workers,
-                    );
-                    for uid in &eu_rows {
-                        t.prefs.resort_row(&t.scores, *uid);
-                    }
-                }
-            }
+            let inputs = ScoreInputs {
+                net,
+                units,
+                vantages: &solver.eu_vantages,
+                clusters: &solver.cluster_eps,
+                targets: &solver.targets,
+                matrix: &solver.matrix,
+                basis: ScoreBasis::UnitVantage,
+                member_cap: self.cfg.member_cap,
+            };
+            rescore_classes(&inputs, &mut solver.eu, &eu_rows, workers);
         }
 
         // Re-solve over the cached tables; skip kinds whose inputs are
@@ -786,83 +787,47 @@ impl MappingSystem {
         }
 
         // Measurement component.
-        let targets = PingTargets::select(net, cfg.max_ping_targets, cfg.target_cover_miles);
+        let mut clock = PhaseClock::default();
+        let targets = clock.time(PHASE_TARGETS, || {
+            PingTargets::select(net, cfg.max_ping_targets, cfg.target_cover_miles)
+        });
         let cluster_eps: Vec<Endpoint> = clusters.iter().map(|c| c.endpoint).collect();
-        let matrix = PingMatrix::measure(net, &cluster_eps, &targets);
+        let matrix = clock.time(PHASE_MATRIX, || {
+            PingMatrix::measure(net, &cluster_eps, &targets)
+        });
         let capacity: Vec<f64> = clusters.iter().map(|c| c.capacity).collect();
         let usable: Vec<bool> = clusters.iter().map(|c| c.alive).collect();
         let workers = cfg.worker_count();
 
-        // Per-class score + preference tables and their candidate rows.
-        // One shared table serves every class when the ablation disables
-        // per-class scoring (§2.2); the scoring pass is chunked across
-        // `workers` threads with a deterministic merge either way.
+        // Per-class score + preference tables from one measurement pass,
+        // then each class's solve and candidate rows. One class with
+        // `cfg.weights` serves every slot when the ablation disables
+        // per-class scoring (§2.2).
+        let weights: Vec<ScoringWeights> = if cfg.per_class_scoring {
+            debug_assert_eq!(TrafficClass::ALL.map(class_slot), [0, 1, 2], "slot order");
+            TrafficClass::ALL.map(ScoringWeights::for_class).to_vec()
+        } else {
+            vec![cfg.weights]
+        };
         let build_tables = |units: &MapUnits,
                             vantages: &[Endpoint],
-                            basis: ScoreBasis|
+                            basis: ScoreBasis,
+                            clock: &mut PhaseClock|
          -> (Vec<ClassTables>, Candidates) {
-            let mut tables: Vec<ClassTables> = Vec::new();
-            let mut cands: Vec<Arc<CandidateTable>> = Vec::new();
-            if !cfg.per_class_scoring {
-                let scores = ScoreTable::build_parallel(
-                    net,
-                    units,
-                    vantages,
-                    &cluster_eps,
-                    &targets,
-                    &matrix,
-                    cfg.weights,
-                    basis,
-                    cfg.member_cap,
-                    workers,
-                );
-                let prefs = PreferenceTable::build(&scores);
-                let assignment =
-                    assign_with_prefs(cfg.algorithm, units, &scores, &prefs, &capacity, &usable);
-                let table = Arc::new(CandidateTable::build(
-                    units,
-                    &prefs,
-                    &assignment,
-                    cfg.candidates_per_unit,
-                ));
-                tables.push(ClassTables {
-                    weights: cfg.weights,
-                    scores,
-                    prefs,
-                });
-                return (tables, [table.clone(), table.clone(), table]);
-            }
-            for class in TrafficClass::ALL {
-                debug_assert_eq!(class_slot(class), tables.len(), "slot order");
-                let weights = ScoringWeights::for_class(class);
-                let scores = ScoreTable::build_parallel(
-                    net,
-                    units,
-                    vantages,
-                    &cluster_eps,
-                    &targets,
-                    &matrix,
-                    weights,
-                    basis,
-                    cfg.member_cap,
-                    workers,
-                );
-                let prefs = PreferenceTable::build(&scores);
-                let assignment =
-                    assign_with_prefs(cfg.algorithm, units, &scores, &prefs, &capacity, &usable);
-                cands.push(Arc::new(CandidateTable::build(
-                    units,
-                    &prefs,
-                    &assignment,
-                    cfg.candidates_per_unit,
-                )));
-                tables.push(ClassTables {
-                    weights,
-                    scores,
-                    prefs,
-                });
-            }
-            let candidates: Candidates = [cands[0].clone(), cands[1].clone(), cands[2].clone()];
+            let inputs = ScoreInputs {
+                net,
+                units,
+                vantages,
+                clusters: &cluster_eps,
+                targets: &targets,
+                matrix: &matrix,
+                basis,
+                member_cap: cfg.member_cap,
+            };
+            let tables = clock.time(PHASE_SCORE, || build_classes(&inputs, &weights, workers));
+            let candidates = clock.time(PHASE_SOLVE, || {
+                solve_candidates(cfg, units, &tables, &capacity, &usable, &empty_candidates())
+            });
             (tables, candidates)
         };
 
@@ -880,7 +845,8 @@ impl MappingSystem {
             MappingPolicy::ClientAwareNs => ScoreBasis::MemberClients,
             _ => ScoreBasis::UnitVantage,
         };
-        let (ns_tables, ns_candidates) = build_tables(&ns_units, &ns_vantages, ns_basis);
+        let (ns_tables, ns_candidates) =
+            build_tables(&ns_units, &ns_vantages, ns_basis, &mut clock);
         let ldns_by_ip: HashMap<Ipv4Addr, UnitId> = ns_units
             .units
             .iter()
@@ -903,7 +869,8 @@ impl MappingSystem {
                     .iter()
                     .map(|u| eu_unit_vantage(net, u))
                     .collect();
-                let (tables, candidates) = build_tables(&units, &vantages, ScoreBasis::UnitVantage);
+                let (tables, candidates) =
+                    build_tables(&units, &vantages, ScoreBasis::UnitVantage, &mut clock);
                 (Some(units), tables, candidates, vantages)
             }
             _ => (None, Vec::new(), empty_candidates(), Vec::new()),
@@ -937,6 +904,7 @@ impl MappingSystem {
             eu_units,
             eu_candidates,
             solver,
+            phase_ns: clock.0,
         }
     }
 
@@ -2411,5 +2379,32 @@ mod tests {
         assert!(w.map.telemetry().is_some(), "rebuild must re-attach");
         let _ = w.map.handle(low, &plain, &ctx(ldns));
         assert_eq!(by_path("ns"), 2, "counters are cumulative across rebuilds");
+
+        // The rebuild's phase split: all four series, within its total.
+        let hist = |label: (&str, &str)| {
+            let name = match label.0 {
+                "mode" => "eum_mapping_rebuild_ns",
+                _ => "eum_mapping_rebuild_phase_ns",
+            };
+            registry.histogram(name, "", &[label]).snapshot()
+        };
+        let total = hist(("mode", "full"));
+        assert_eq!(total.count(), 1);
+        let scrape = registry.render_text();
+        let mut phases = 0;
+        for phase in ["targets", "matrix", "score", "solve"] {
+            assert!(
+                scrape.contains(&format!(
+                    "eum_mapping_rebuild_phase_ns_count{{phase=\"{phase}\"}} 1"
+                )),
+                "{phase} missing from the scrape"
+            );
+            phases += hist(("phase", phase)).sum();
+        }
+        assert!(
+            phases <= total.sum(),
+            "phases {phases} ns > rebuild {} ns",
+            total.sum()
+        );
     }
 }

@@ -15,6 +15,9 @@
 //!   that every candidate was down and the nearest live cluster
 //!   answered);
 //! * round-robin answer rotations (`eum_mapping_rr_rotations_total`);
+//! * rebuild wall time (`eum_mapping_rebuild_ns{mode}`), and a full
+//!   rebuild's split into `targets`, `matrix`, `score` and `solve` phases
+//!   (`eum_mapping_rebuild_phase_ns{phase}`);
 //! * per-mapping-unit query counts, kept in plain atomic arrays because
 //!   unit indices are unbounded-cardinality and must never become label
 //!   values; [`MappingTelemetry::publish_unit_stats`] folds them into
@@ -58,6 +61,9 @@ pub struct MappingTelemetry {
     rr_rotations: Arc<Counter>,
     rebuild_full_ns: Arc<Histogram>,
     rebuild_incremental_ns: Arc<Histogram>,
+    /// Per-phase wall time of a full rebuild: targets, matrix, score,
+    /// solve.
+    rebuild_phase_ns: [Arc<Histogram>; 4],
     units_changed: Arc<Counter>,
     /// Queries attributed to each end-user unit (empty without EU units).
     eu_unit_queries: Box<[AtomicU64]>,
@@ -125,6 +131,13 @@ impl MappingTelemetry {
                 "Map rebuild wall time, nanoseconds",
                 &[("mode", "incremental")],
             ),
+            rebuild_phase_ns: ["targets", "matrix", "score", "solve"].map(|phase| {
+                registry.histogram(
+                    "eum_mapping_rebuild_phase_ns",
+                    "Full map rebuild wall time per phase, nanoseconds",
+                    &[("phase", phase)],
+                )
+            }),
             units_changed: registry.counter(
                 "eum_mapping_units_changed_total",
                 "Mapping units republished across map generations",
@@ -195,6 +208,14 @@ impl MappingTelemetry {
             self.rebuild_incremental_ns.record(elapsed_ns);
         }
         self.units_changed.add(units_changed);
+    }
+
+    /// Records one full rebuild's phase split (targets, matrix, score,
+    /// solve), nanoseconds each.
+    pub(crate) fn record_rebuild_phases(&self, phase_ns: [u64; 4]) {
+        for (h, ns) in self.rebuild_phase_ns.iter().zip(phase_ns) {
+            h.record(ns);
+        }
     }
 
     pub(crate) fn count_eu_unit(&self, unit: usize) {
