@@ -13,8 +13,8 @@ use eum_cdn::{
 };
 use eum_geo::GeoPoint;
 use eum_mapping::{
-    MapUnits, MappingConfig, MappingPolicy, MappingSystem, PingMatrix, PingTargets,
-    PreferenceTable, ScoreBasis, ScoreTable, ScoringWeights, UnitId, UnitKey,
+    LbAlgorithm, MapUnits, MappingConfig, MappingPolicy, MappingSystem, PingMatrix, PingTargets,
+    PreferenceTable, RescoreHints, ScoreBasis, ScoreTable, ScoringWeights, UnitId, UnitKey,
 };
 use eum_netmodel::{Endpoint, Internet, InternetConfig};
 
@@ -226,4 +226,70 @@ fn published_candidate_rows_are_pinned() {
         }
     }
     check("MAP_DIGEST", h.0, MAP_DIGEST);
+}
+
+const DEEP_MAP_DIGEST: u64 = 0xc95d_a883_a7a0_49eb;
+
+/// A 48-cluster world whose capacities are tight (5 % headroom overall,
+/// every third cluster cut to a third of its share), so units are pushed
+/// far down their rankings — past the first 16 clusters.
+fn deep_world(seed: u64) -> (Internet, CdnPlatform, ContentCatalog) {
+    let mut net = Internet::generate(InternetConfig::tiny(seed));
+    let sites = deployment_universe(seed, 48);
+    let mut cdn = CdnPlatform::deploy(&mut net, &sites, &DeployConfig::default());
+    let per_cluster = net.total_demand() * 1.05 / cdn.clusters.len() as f64;
+    for (i, c) in cdn.clusters.iter_mut().enumerate() {
+        c.capacity = if i % 3 == 0 {
+            per_cluster / 3.0
+        } else {
+            per_cluster
+        };
+    }
+    let catalog = ContentCatalog::generate(&CatalogConfig::tiny(seed));
+    (net, cdn, catalog)
+}
+
+#[test]
+fn deep_ranking_candidate_rows_are_pinned() {
+    let mut h = Fnv::new();
+    for seed in SEEDS {
+        for algorithm in [LbAlgorithm::Stable, LbAlgorithm::Greedy] {
+            let (mut net, mut cdn, catalog) = deep_world(seed);
+            let mut map = MappingSystem::build(
+                &mut net,
+                &cdn,
+                &catalog,
+                "cdn.example".parse().unwrap(),
+                MappingConfig {
+                    algorithm,
+                    max_ping_targets: 40,
+                    ..MappingConfig::default()
+                },
+            );
+            hash_rows(&mut h, &net, &map);
+            // Incremental: a liveness flip, a capacity cut and measurement
+            // drift on hinted units.
+            let victim = cdn.clusters[4].id;
+            cdn.set_cluster_alive(victim, false);
+            cdn.clusters[7].capacity *= 0.2;
+            let mut hints = RescoreHints::default();
+            for i in (0..net.blocks.len()).step_by(37) {
+                net.blocks[i].access_ms *= 1.5;
+                let client = net.blocks[i].client_ip();
+                if let Some(u) = map.eu_units().and_then(|u| u.unit_for_client(client)) {
+                    hints.eu.push(u);
+                }
+                if let Some(u) = map.ns_units().unit_for_block24(net.blocks[i].prefix) {
+                    hints.ns.push(u);
+                }
+            }
+            let delta = map.rebuild_incremental(&net, &cdn, &hints);
+            h.word(u64::from(delta.is_full()));
+            hash_rows(&mut h, &net, &map);
+            // A full rebuild of the same world.
+            map.rebuild(&net, &cdn);
+            hash_rows(&mut h, &net, &map);
+        }
+    }
+    check("DEEP_MAP_DIGEST", h.0, DEEP_MAP_DIGEST);
 }
