@@ -161,6 +161,30 @@ fn bench_wheel(c: &mut Criterion) {
             black_box(scratch.len())
         })
     });
+    // One resolver of a fleet: 80 live entries with TTLs of one hour to
+    // a day, and 160 s of virtual time between its resolutions (the
+    // `fleet_e2e` average). Each iteration advances one resolution's
+    // worth and re-arms what expired (about one entry in 40 iterations'
+    // worth of ticks), so the cost is the idle time between deadlines.
+    c.bench_function("ldns_wheel_advance_sparse", |b| {
+        let t0 = Instant::now();
+        let mut wheel: TimerWheel<u64> = TimerWheel::new(t0);
+        let ttl = |i: u64| [3_600, 7_200, 14_400, 86_400][(i % 4) as usize];
+        for i in 0..80 {
+            wheel.insert(t0 + Duration::from_secs(ttl(i) + 37 * i), i);
+        }
+        let mut scratch = Vec::new();
+        let mut now = 0u64;
+        b.iter(|| {
+            now += 160;
+            scratch.clear();
+            wheel.advance(t0 + Duration::from_secs(now), &mut scratch);
+            for i in &scratch {
+                wheel.insert(t0 + Duration::from_secs(now + ttl(*i)), *i);
+            }
+            black_box(scratch.len())
+        })
+    });
 }
 
 /// An upstream answering the two-level hierarchy from static tables: the

@@ -15,11 +15,14 @@
 //! unit's ping target once and reads its `(rtt, loss)` toward each
 //! cluster once (per member and cluster under
 //! [`ScoreBasis::MemberClients`]), then weighs that one measurement with
-//! each class's [`ScoringWeights`] into the class's score row and sorts
-//! the class's preference row. [`ScoreTable::build`] and
-//! [`PreferenceTable::build`] are its one-class forms.
+//! each class's [`ScoringWeights`] into a score row and keeps the row's
+//! best [`RANK_DEPTH`] `(cluster, score)` pairs in the class's
+//! [`PreferenceTable`]. The load balancer rarely reads deeper; when it
+//! does, [`ScoreInputs::whole_row`] reruns the same kernel for that one
+//! unit. [`ScoreTable::build`] and [`PreferenceTable::build`] are its
+//! dense one-class forms.
 
-use crate::global_lb::{sort_row, PreferenceTable};
+use crate::global_lb::{sort_row, PreferenceTable, RANK_DEPTH};
 use crate::measure::{PingMatrix, PingTargets};
 use crate::units::{MapUnits, UnitId};
 use eum_netmodel::{BlockId, Endpoint, Internet};
@@ -125,10 +128,23 @@ impl ScoreTable {
             basis,
             member_cap,
         };
-        build_classes(&inputs, &[weights], 1)
-            .pop()
-            .expect("one class in, one out")
-            .scores
+        let n = cluster_endpoints.len();
+        let mut scores = vec![0f32; units.len() * n];
+        for (u, row) in scores.chunks_mut(n.max(1)).enumerate() {
+            for (c, score) in inputs.whole_row(u, &weights) {
+                row[usize::from(c)] = score;
+            }
+        }
+        ScoreTable {
+            n_clusters: n,
+            scores,
+        }
+    }
+
+    /// A table over row-major `scores` (tests only).
+    #[cfg(test)]
+    pub(crate) fn from_flat(n_clusters: usize, scores: Vec<f32>) -> ScoreTable {
+        ScoreTable { n_clusters, scores }
     }
 
     /// Number of clusters (columns).
@@ -183,11 +199,11 @@ pub(crate) struct ScoreInputs<'a> {
     pub(crate) member_cap: usize,
 }
 
-/// One traffic class's weights with its score and preference tables.
+/// One traffic class's weights with its ranking table.
 #[derive(Debug, Clone)]
 pub(crate) struct ClassTables {
     pub(crate) weights: ScoringWeights,
-    pub(crate) scores: ScoreTable,
+    /// The best [`RANK_DEPTH`] clusters of every unit.
     pub(crate) prefs: PreferenceTable,
 }
 
@@ -203,11 +219,7 @@ pub(crate) fn build_classes(
         .iter()
         .map(|w| ClassTables {
             weights: *w,
-            scores: ScoreTable {
-                n_clusters,
-                scores: vec![0f32; n_units * n_clusters],
-            },
-            prefs: PreferenceTable::zeroed(n_units, n_clusters),
+            prefs: PreferenceTable::zeroed(n_units, n_clusters, RANK_DEPTH.min(n_clusters)),
         })
         .collect();
     let all: Vec<UnitId> = (0..n_units).map(|u| UnitId(u as u32)).collect();
@@ -215,19 +227,19 @@ pub(crate) fn build_classes(
     tables
 }
 
-/// One class's `(score row, preference row)` slices for one worker's
-/// units, in unit order.
-type RowSlices<'t> = Vec<(&'t mut [f32], &'t mut [u16])>;
+/// One class's stored `(clusters, scores)` rows for one worker's units,
+/// in unit order.
+type RowSlices<'t> = Vec<(&'t mut [u16], &'t mut [f32])>;
 
 /// Re-scores `rows` (ascending, no repeats) of every class's tables in
 /// place: the incremental rebuild's rescore pass, and the whole of a full
 /// build.
 ///
 /// The rows are split into contiguous runs across `workers` threads.
-/// Every worker is handed its own rows' slices of every class's score
-/// and preference tables and writes them directly, so the result cannot
-/// depend on scheduling, and no buffer is merged afterwards. `workers <=
-/// 1` runs inline with no thread spawns.
+/// Every worker is handed its own rows' slices of every class's ranking
+/// table and writes them directly, so the result cannot depend on
+/// scheduling, and no buffer is merged afterwards. `workers <= 1` runs
+/// inline with no thread spawns.
 pub(crate) fn rescore_classes(
     inputs: &ScoreInputs,
     tables: &mut [ClassTables],
@@ -241,7 +253,7 @@ pub(crate) fn rescore_classes(
         "one vantage per unit"
     );
     assert_eq!(inputs.matrix.deployments(), n, "matrix rows = clusters");
-    assert!(tables.iter().all(|t| t.scores.n_clusters == n));
+    assert!(tables.iter().all(|t| t.prefs.clusters() == n));
     assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascend");
     if n == 0 || rows.is_empty() {
         return;
@@ -252,8 +264,7 @@ pub(crate) fn rescore_classes(
     let weights: Vec<ScoringWeights> = tables.iter().map(|t| t.weights).collect();
     for t in tables.iter_mut() {
         let mut pending = rows.iter().enumerate().peekable();
-        let unit_rows = t.scores.scores.chunks_mut(n).zip(t.prefs.rows_mut());
-        for (u, pair) in unit_rows.enumerate() {
+        for (u, pair) in t.prefs.rows_mut().enumerate() {
             let Some((j, _)) = pending.next_if(|(_, r)| r.index() == u) else {
                 continue;
             };
@@ -268,12 +279,13 @@ pub(crate) fn rescore_classes(
     let weights = &weights;
     let run = |(units, mut out): (&[UnitId], Vec<RowSlices>)| {
         let mut scratch = Scratch::default();
+        let mut row = vec![0f32; n];
         for (j, u) in units.iter().enumerate() {
             inputs.measure(u.index(), &mut scratch);
             for (w, class) in weights.iter().zip(out.iter_mut()) {
-                let (row, prefs) = &mut class[j];
-                inputs.weigh(w, &scratch, row);
-                sort_row(row, prefs, &mut scratch.keys);
+                let (clusters, ranked) = &mut class[j];
+                inputs.weigh(w, &scratch, &mut row);
+                sort_row(&row, clusters, ranked, &mut scratch.keys);
             }
         }
     };
@@ -304,6 +316,19 @@ struct Scratch {
 }
 
 impl ScoreInputs<'_> {
+    /// Unit `ui`'s whole ranking under `weights`, best first: the kernel
+    /// [`rescore_classes`] runs, for one unit and class, kept to every
+    /// cluster.
+    pub(crate) fn whole_row(&self, ui: usize, weights: &ScoringWeights) -> Vec<(u16, f32)> {
+        let n = self.clusters.len();
+        let mut s = Scratch::default();
+        let (mut row, mut clusters, mut ranked) = (vec![0f32; n], vec![0u16; n], vec![0f32; n]);
+        self.measure(ui, &mut s);
+        self.weigh(weights, &s, &mut row);
+        sort_row(&row, &mut clusters, &mut ranked, &mut s.keys);
+        clusters.into_iter().zip(ranked).collect()
+    }
+
     /// Reads unit `ui`'s ping target(s) and its `(rtt, loss)` toward every
     /// cluster into `s` — once, whatever the number of classes.
     fn measure(&self, ui: usize, s: &mut Scratch) {
@@ -379,6 +404,7 @@ impl ScoreInputs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global_lb::Ranking;
     use crate::units::MapUnits;
     use eum_netmodel::InternetConfig;
 
@@ -596,7 +622,16 @@ mod tests {
 
     #[test]
     fn parallel_build_and_rescore_match_sequential_bitwise() {
-        let (net, blocks, clusters, targets, matrix) = setup();
+        let (net, blocks, _, targets, _) = setup();
+        // More clusters than the stored ranks, so rows are truncated.
+        let clusters: Vec<Endpoint> = net
+            .resolvers
+            .iter()
+            .take(24)
+            .map(|r| r.endpoint())
+            .collect();
+        assert!(clusters.len() > RANK_DEPTH);
+        let matrix = PingMatrix::measure(&net, &clusters, &targets);
         let ldns = MapUnits::ldns_units(&net);
         let ldns_vantages: Vec<Endpoint> = ldns
             .units
@@ -632,18 +667,26 @@ mod tests {
                         &net, units, &v, &clusters, &targets, &matrix, *w, basis, 3,
                     );
                     let one_prefs = PreferenceTable::build(&one);
+                    let mut ranks = Ranking::new(&t.prefs, None);
                     for (u, info) in units.units.iter().enumerate() {
                         let uid = UnitId(u as u32);
                         let reference = reference_row(
                             &net, info, &v[u], &clusters, &targets, &matrix, *w, basis, 3,
                         );
+                        let order = reference_order(&reference);
                         for (c, r) in reference.iter().enumerate() {
-                            let bits = r.to_bits() as u64;
-                            assert_eq!(t.scores.row(u)[c].to_bits() as u64, bits, "{what}");
-                            assert_eq!((one.score(uid, c) as f32).to_bits() as u64, bits);
+                            assert_eq!(one.score(uid, c) as f32, *r);
+                            assert_eq!(one.score(uid, c).to_bits(), f64::from(*r).to_bits());
                         }
-                        assert_eq!(t.prefs.row(uid), reference_order(&reference), "{what}");
-                        assert_eq!(one_prefs.row(uid), t.prefs.row(uid));
+                        let whole: Vec<(u16, f32)> =
+                            order.iter().map(|c| (*c, reference[*c as usize])).collect();
+                        assert_eq!(inputs.whole_row(u, w), whole, "{what}");
+                        assert_eq!(t.prefs.row(uid), &order[..RANK_DEPTH], "{what}");
+                        for (p, (c, s)) in whole[..RANK_DEPTH].iter().enumerate() {
+                            let (rc, rs) = ranks.at(u, p).expect("stored rank");
+                            assert_eq!((rc, rs.to_bits()), (*c as usize, s.to_bits()), "{what}");
+                        }
+                        assert_eq!(one_prefs.row(uid), order);
                     }
                 }
             };
@@ -657,13 +700,10 @@ mod tests {
                 .step_by(3)
                 .map(|u| UnitId(u as u32))
                 .collect();
-            let n = clusters.len();
             for t in &mut par {
-                for r in &rows {
-                    t.scores.scores[r.index() * n..(r.index() + 1) * n].fill(-1.0);
-                }
-                for row in t.prefs.rows_mut().step_by(3) {
-                    row.fill(0);
+                for (clusters, ranked) in t.prefs.rows_mut().step_by(3) {
+                    clusters.fill(0);
+                    ranked.fill(-1.0);
                 }
             }
             rescore_classes(&inputs, &mut par, &rows, 3);

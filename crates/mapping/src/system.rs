@@ -17,7 +17,7 @@
 //!   exactly the `/y ≤ /x` narrowing of Figure 4.
 
 use crate::delta::MapDelta;
-use crate::global_lb::{assign_with_prefs, Assignment, LbAlgorithm, PreferenceTable};
+use crate::global_lb::{solve, Assignment, LbAlgorithm, Ranking};
 use crate::local_lb::{domain_key, ConsistentRing};
 use crate::measure::{PingMatrix, PingTargets};
 use crate::policy::MappingPolicy;
@@ -190,7 +190,7 @@ impl CandidateTable {
     /// clusters in preference order, deduped, up to `k` per unit.
     fn build(
         units: &MapUnits,
-        prefs: &PreferenceTable,
+        ranks: &mut Ranking,
         assignment: &Assignment,
         k: usize,
     ) -> CandidateTable {
@@ -204,11 +204,13 @@ impl CandidateTable {
                 row[n] = c as u32;
                 n += 1;
             }
-            for c in prefs.row(uid) {
-                if n >= stride {
+            let mut p = 0;
+            while n < stride {
+                let Some((c, _)) = ranks.at(u, p) else {
                     break;
-                }
-                let c = u32::from(*c);
+                };
+                p += 1;
+                let c = c as u32;
                 if !row[..n].contains(&c) {
                     row[n] = c;
                     n += 1;
@@ -243,9 +245,10 @@ fn empty_candidates() -> Candidates {
 }
 
 /// Everything [`MappingSystem::rebuild_incremental`] reuses between
-/// generations: the measurement artifacts, the per-class score and
-/// preference tables, and the previous solve's inputs (for change
-/// detection). Control-plane only — never published to shards.
+/// generations: the measurement artifacts, the per-class ranking tables
+/// (each unit's best clusters with their scores), and the previous
+/// solve's inputs (for change detection). Control-plane only — never
+/// published to shards.
 struct SolverState {
     targets: PingTargets,
     matrix: PingMatrix,
@@ -341,11 +344,13 @@ struct ComputedMap {
     solver: Box<SolverState>,
     /// Wall time of each [`PhaseClock`] phase, ns.
     phase_ns: [u64; 4],
+    /// Rows the solves recomputed past the stored ranks.
+    spills: Spills,
 }
 
 /// Phases of a full map computation, indexing [`PhaseClock`] and the
 /// `phase` label of `eum_mapping_rebuild_phase_ns`: ping-target selection,
-/// the ping matrix, scoring (with the preference sorts), and the solve
+/// the ping matrix, scoring (with the ranking selects), and the solve
 /// (assignment and candidate rows).
 const PHASE_TARGETS: usize = 0;
 const PHASE_MATRIX: usize = 1;
@@ -424,11 +429,22 @@ impl MappingSystem {
     /// into the same counters while the per-unit arrays are sized for the
     /// current map.
     pub fn attach_telemetry(&mut self, registry: Arc<Registry>) {
-        self.telemetry = Some(MappingTelemetry::new(
+        let t = MappingTelemetry::new(
             registry,
             self.ns_units.len(),
             self.eu_units.as_ref().map(|u| u.len()).unwrap_or(0),
-        ));
+        );
+        if self.solver.is_some() {
+            t.record_solve(&Spills::default(), self.solver_bytes());
+        }
+        self.telemetry = Some(t);
+    }
+
+    /// Heap bytes of the solver's per-class ranking tables.
+    fn solver_bytes(&self) -> usize {
+        self.solver.as_ref().map_or(0, |s| {
+            s.ns.iter().chain(&s.eu).map(|t| t.prefs.bytes()).sum()
+        })
     }
 
     /// The attached instrumentation, if any.
@@ -464,6 +480,7 @@ impl MappingSystem {
                 self.total_units() as u64,
             );
             t.record_rebuild_phases(computed.phase_ns);
+            t.record_solve(&computed.spills, self.solver_bytes());
         }
     }
 
@@ -477,8 +494,8 @@ impl MappingSystem {
     ///
     /// Cost is proportional to what changed, not to world size: the
     /// previous generation's measurement artifacts (ping targets, ping
-    /// matrix), score tables, and preference orders are reused; only
-    /// liveness/capacity inputs and explicitly `hints`-ed units are
+    /// matrix) and per-class rankings are reused; only liveness/capacity
+    /// inputs and explicitly `hints`-ed units are
     /// recomputed before the solver re-runs over the cached tables (see
     /// `stable_allocation` for why its repair queue is seeded with every
     /// unit — the result is bit-identical to a from-scratch rebuild).
@@ -548,7 +565,7 @@ impl MappingSystem {
         let workers = self.cfg.worker_count();
 
         // Rescore hinted rows: refresh their cached vantages, then
-        // recompute every class's score and preference rows for them.
+        // recompute every class's ranking rows for them.
         let ns_rows = normalize_hints(&hints.ns, self.ns_units.len());
         for uid in &ns_rows {
             solver.ns_vantages[uid.index()] = match self.ns_units.units[uid.index()].key {
@@ -556,7 +573,16 @@ impl MappingSystem {
                 UnitKey::Block(_) => unreachable!("NS units are resolver-keyed"),
             };
         }
-        let inputs = ScoreInputs {
+        let eu_rows = match &self.eu_units {
+            Some(units) => normalize_hints(&hints.eu, units.len()),
+            None => Vec::new(),
+        };
+        if let Some(units) = &self.eu_units {
+            for uid in &eu_rows {
+                solver.eu_vantages[uid.index()] = eu_unit_vantage(net, &units.units[uid.index()]);
+            }
+        }
+        let ns_inputs = ScoreInputs {
             net,
             units: &self.ns_units,
             vantages: &solver.ns_vantages,
@@ -566,26 +592,15 @@ impl MappingSystem {
             basis: solver.ns_basis,
             member_cap: self.cfg.member_cap,
         };
-        rescore_classes(&inputs, &mut solver.ns, &ns_rows, workers);
-        let eu_rows = match &self.eu_units {
-            Some(units) => normalize_hints(&hints.eu, units.len()),
-            None => Vec::new(),
-        };
-        if let Some(units) = &self.eu_units {
-            for uid in &eu_rows {
-                solver.eu_vantages[uid.index()] = eu_unit_vantage(net, &units.units[uid.index()]);
-            }
-            let inputs = ScoreInputs {
-                net,
-                units,
-                vantages: &solver.eu_vantages,
-                clusters: &solver.cluster_eps,
-                targets: &solver.targets,
-                matrix: &solver.matrix,
-                basis: ScoreBasis::UnitVantage,
-                member_cap: self.cfg.member_cap,
-            };
-            rescore_classes(&inputs, &mut solver.eu, &eu_rows, workers);
+        rescore_classes(&ns_inputs, &mut solver.ns, &ns_rows, workers);
+        let eu_inputs = self.eu_units.as_ref().map(|units| ScoreInputs {
+            units,
+            vantages: &solver.eu_vantages,
+            basis: ScoreBasis::UnitVantage,
+            ..ns_inputs
+        });
+        if let Some(inputs) = &eu_inputs {
+            rescore_classes(inputs, &mut solver.eu, &eu_rows, workers);
         }
 
         // Re-solve over the cached tables; skip kinds whose inputs are
@@ -593,26 +608,31 @@ impl MappingSystem {
         let lb_changed = capacity != solver.capacity || usable != solver.usable;
         let old_ns_candidates = self.ns_candidates.clone();
         let old_eu_candidates = self.eu_candidates.clone();
+        let mut spills = Spills::default();
         let ns_candidates = if lb_changed || !ns_rows.is_empty() {
             solve_candidates(
                 &self.cfg,
                 &self.ns_units,
+                &ns_inputs,
                 &solver.ns,
                 &capacity,
                 &usable,
                 &old_ns_candidates,
+                &mut spills,
             )
         } else {
             old_ns_candidates.clone()
         };
-        let eu_candidates = match &self.eu_units {
-            Some(units) if lb_changed || !eu_rows.is_empty() => solve_candidates(
+        let eu_candidates = match (&self.eu_units, &eu_inputs) {
+            (Some(units), Some(inputs)) if lb_changed || !eu_rows.is_empty() => solve_candidates(
                 &self.cfg,
                 units,
+                inputs,
                 &solver.eu,
                 &capacity,
                 &usable,
                 &old_eu_candidates,
+                &mut spills,
             ),
             _ => old_eu_candidates.clone(),
         };
@@ -673,6 +693,7 @@ impl MappingSystem {
                 start.elapsed().as_nanos() as u64,
                 delta.units_changed() as u64,
             );
+            t.record_solve(&spills, self.solver_bytes());
         }
         Arc::new(delta)
     }
@@ -799,8 +820,8 @@ impl MappingSystem {
         let usable: Vec<bool> = clusters.iter().map(|c| c.alive).collect();
         let workers = cfg.worker_count();
 
-        // Per-class score + preference tables from one measurement pass,
-        // then each class's solve and candidate rows. One class with
+        // Per-class ranking tables from one measurement pass, then each
+        // class's solve and candidate rows. One class with
         // `cfg.weights` serves every slot when the ablation disables
         // per-class scoring (§2.2).
         let weights: Vec<ScoringWeights> = if cfg.per_class_scoring {
@@ -812,7 +833,8 @@ impl MappingSystem {
         let build_tables = |units: &MapUnits,
                             vantages: &[Endpoint],
                             basis: ScoreBasis,
-                            clock: &mut PhaseClock|
+                            clock: &mut PhaseClock,
+                            spills: &mut Spills|
          -> (Vec<ClassTables>, Candidates) {
             let inputs = ScoreInputs {
                 net,
@@ -826,7 +848,16 @@ impl MappingSystem {
             };
             let tables = clock.time(PHASE_SCORE, || build_classes(&inputs, &weights, workers));
             let candidates = clock.time(PHASE_SOLVE, || {
-                solve_candidates(cfg, units, &tables, &capacity, &usable, &empty_candidates())
+                solve_candidates(
+                    cfg,
+                    units,
+                    &inputs,
+                    &tables,
+                    &capacity,
+                    &usable,
+                    &empty_candidates(),
+                    spills,
+                )
             });
             (tables, candidates)
         };
@@ -845,8 +876,9 @@ impl MappingSystem {
             MappingPolicy::ClientAwareNs => ScoreBasis::MemberClients,
             _ => ScoreBasis::UnitVantage,
         };
+        let mut spills = Spills::default();
         let (ns_tables, ns_candidates) =
-            build_tables(&ns_units, &ns_vantages, ns_basis, &mut clock);
+            build_tables(&ns_units, &ns_vantages, ns_basis, &mut clock, &mut spills);
         let ldns_by_ip: HashMap<Ipv4Addr, UnitId> = ns_units
             .units
             .iter()
@@ -869,8 +901,13 @@ impl MappingSystem {
                     .iter()
                     .map(|u| eu_unit_vantage(net, u))
                     .collect();
-                let (tables, candidates) =
-                    build_tables(&units, &vantages, ScoreBasis::UnitVantage, &mut clock);
+                let (tables, candidates) = build_tables(
+                    &units,
+                    &vantages,
+                    ScoreBasis::UnitVantage,
+                    &mut clock,
+                    &mut spills,
+                );
                 (Some(units), tables, candidates, vantages)
             }
             _ => (None, Vec::new(), empty_candidates(), Vec::new()),
@@ -905,6 +942,7 @@ impl MappingSystem {
             eu_candidates,
             solver,
             phase_ns: clock.0,
+            spills,
         }
     }
 
@@ -1629,22 +1667,33 @@ fn eu_unit_vantage(net: &Internet, u: &MapUnitInfo) -> Endpoint {
     Endpoint::client(b0.client_ip(), u.centroid, b0.country, b0.asn, access)
 }
 
-/// Re-solves every class over its cached score/preference tables and
-/// rebuilds the candidate rows, keeping the previous `Arc` whenever the
-/// contents come out identical (generation-over-generation structural
-/// sharing, and the cheap "nothing changed" signal for delta extraction).
+/// Rows the solves recomputed past the stored ranks: one count per
+/// class slot, then one for a scoring shared by every class.
+type Spills = [usize; 4];
+
+/// Re-solves every class over its cached ranking tables and rebuilds the
+/// candidate rows, keeping the previous `Arc` whenever the contents come
+/// out identical (generation-over-generation structural sharing, and the
+/// cheap "nothing changed" signal for delta extraction). Reads past a
+/// table's stored ranks recompute the unit's row from `inputs`.
+#[allow(clippy::too_many_arguments)] // one solve's inputs, spelled out
 fn solve_candidates(
     cfg: &MappingConfig,
     units: &MapUnits,
+    inputs: &ScoreInputs,
     tables: &[ClassTables],
     capacity: &[f64],
     usable: &[bool],
     old: &Candidates,
+    spills: &mut Spills,
 ) -> Candidates {
-    let solve_one = |t: &ClassTables, prev: &Arc<CandidateTable>| -> Arc<CandidateTable> {
-        let assignment =
-            assign_with_prefs(cfg.algorithm, units, &t.scores, &t.prefs, capacity, usable);
-        let built = CandidateTable::build(units, &t.prefs, &assignment, cfg.candidates_per_unit);
+    let mut solve_one = |t: &ClassTables, slot: usize| -> Arc<CandidateTable> {
+        let whole_row = |u: usize| inputs.whole_row(u, &t.weights);
+        let mut ranks = Ranking::new(&t.prefs, Some(&whole_row));
+        let assignment = solve(cfg.algorithm, units, &mut ranks, capacity, usable);
+        let built = CandidateTable::build(units, &mut ranks, &assignment, cfg.candidates_per_unit);
+        spills[slot] += ranks.spills();
+        let prev = &old[slot % 3];
         if built == **prev {
             prev.clone()
         } else {
@@ -1654,14 +1703,10 @@ fn solve_candidates(
     match tables {
         // Per-class scoring off: one table serves every slot.
         [t] => {
-            let arc = solve_one(t, &old[0]);
+            let arc = solve_one(t, 3);
             [arc.clone(), arc.clone(), arc]
         }
-        [w, v, d] => [
-            solve_one(w, &old[0]),
-            solve_one(v, &old[1]),
-            solve_one(d, &old[2]),
-        ],
+        [w, v, d] => [solve_one(w, 0), solve_one(v, 1), solve_one(d, 2)],
         _ => unreachable!("class tables come in sets of 1 or 3"),
     }
 }
@@ -2305,6 +2350,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_answer_paths_and_survives_rebuild() {
+        use crate::global_lb::RANK_DEPTH;
         let mut w = world(MappingPolicy::end_user_default());
         let registry = Arc::new(Registry::new());
         w.map.attach_telemetry(registry.clone());
@@ -2406,5 +2452,48 @@ mod tests {
             "phases {phases} ns > rebuild {} ns",
             total.sum()
         );
+
+        // The solver's ranking tables: 16 `(u16, f32)` ranks per unit and
+        // class. This world has 16 clusters, so no read goes past them.
+        let bytes = registry.gauge("eum_mapping_solver_bytes", "", &[]).get();
+        assert_eq!(bytes, (w.map.total_units() * 3 * RANK_DEPTH * 6) as f64);
+        let spills = |class: &str| {
+            registry
+                .counter("eum_mapping_rank_spills_total", "", &[("class", class)])
+                .get()
+        };
+        for class in ["web", "video", "download", "all"] {
+            assert_eq!(spills(class), 0, "{class}");
+            assert!(scrape.contains(&format!(
+                "eum_mapping_rank_spills_total{{class=\"{class}\"}}"
+            )));
+        }
+
+        // Over 48 clusters with 5 % spare capacity some units are pushed
+        // past rank 16: their rows are recomputed and counted per class.
+        let sites = deployment_universe(0xAB, 48);
+        let mut net = Internet::generate(InternetConfig::tiny(0xAB));
+        let mut cdn = CdnPlatform::deploy(&mut net, &sites, &DeployConfig::default());
+        let per_cluster = net.total_demand() * 1.05 / 48.0;
+        for c in &mut cdn.clusters {
+            c.capacity = per_cluster;
+        }
+        let mut deep = MappingSystem::build(
+            &mut net,
+            &cdn,
+            &w.catalog,
+            name("cdn.example"),
+            MappingConfig::default(),
+        );
+        let registry = Arc::new(Registry::new());
+        deep.attach_telemetry(registry.clone());
+        deep.rebuild(&net, &cdn);
+        let spills = |class: &str| {
+            registry
+                .counter("eum_mapping_rank_spills_total", "", &[("class", class)])
+                .get()
+        };
+        assert!(spills("web") + spills("video") + spills("download") > 0);
+        assert_eq!(spills("all"), 0, "per-class scoring is on");
     }
 }

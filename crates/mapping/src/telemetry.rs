@@ -18,6 +18,10 @@
 //! * rebuild wall time (`eum_mapping_rebuild_ns{mode}`), and a full
 //!   rebuild's split into `targets`, `matrix`, `score` and `solve` phases
 //!   (`eum_mapping_rebuild_phase_ns{phase}`);
+//! * rows the load balancer read past the stored ranks and had to
+//!   recompute (`eum_mapping_rank_spills_total{class}`; `class="all"`
+//!   when one scoring serves every class), and the heap bytes of the
+//!   solver's ranking tables (`eum_mapping_solver_bytes`);
 //! * per-mapping-unit query counts, kept in plain atomic arrays because
 //!   unit indices are unbounded-cardinality and must never become label
 //!   values; [`MappingTelemetry::publish_unit_stats`] folds them into
@@ -65,6 +69,9 @@ pub struct MappingTelemetry {
     /// solve.
     rebuild_phase_ns: [Arc<Histogram>; 4],
     units_changed: Arc<Counter>,
+    /// Spilled rows: web, video, download, then a shared scoring.
+    rank_spills: [Arc<Counter>; 4],
+    solver_bytes: Arc<Gauge>,
     /// Queries attributed to each end-user unit (empty without EU units).
     eu_unit_queries: Box<[AtomicU64]>,
     /// Queries attributed to each NS (LDNS) unit.
@@ -143,6 +150,18 @@ impl MappingTelemetry {
                 "Mapping units republished across map generations",
                 &[],
             ),
+            rank_spills: ["web", "video", "download", "all"].map(|class| {
+                registry.counter(
+                    "eum_mapping_rank_spills_total",
+                    "Unit rows the load balancer read past the stored ranks",
+                    &[("class", class)],
+                )
+            }),
+            solver_bytes: registry.gauge(
+                "eum_mapping_solver_bytes",
+                "Heap bytes of the solver's per-class ranking tables",
+                &[],
+            ),
             eu_unit_queries: counts(eu_units),
             ns_unit_queries: counts(ns_units),
             registry,
@@ -216,6 +235,15 @@ impl MappingTelemetry {
         for (h, ns) in self.rebuild_phase_ns.iter().zip(phase_ns) {
             h.record(ns);
         }
+    }
+
+    /// Records one rebuild's spilled rows (per class slot, then shared
+    /// scoring) and the ranking tables' size.
+    pub(crate) fn record_solve(&self, spills: &[usize; 4], solver_bytes: usize) {
+        for (c, n) in self.rank_spills.iter().zip(spills) {
+            c.add(*n as u64);
+        }
+        self.solver_bytes.set(solver_bytes as f64);
     }
 
     pub(crate) fn count_eu_unit(&self, unit: usize) {

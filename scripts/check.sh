@@ -60,4 +60,8 @@ step "eum-e2e-bench smoke (bench/ is a package of its own: a crate API it uses m
 cargo run --release --quiet --offline --manifest-path bench/Cargo.toml -- --smoke
 step_done
 
+step "eum-e2e-bench tests (its oracle, stats and schema checks)"
+cargo test --release --offline --manifest-path bench/Cargo.toml
+step_done
+
 echo "All checks passed in $((SECONDS - total_start))s."
