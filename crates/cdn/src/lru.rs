@@ -1,9 +1,11 @@
-//! A fixed-capacity LRU cache.
+//! A capacity-bounded LRU cache.
 //!
 //! Backs each CDN server's content cache. Implemented as a hash map into an
 //! arena of doubly-linked nodes so that hit, insert, and evict are all
 //! O(1) — these run on every simulated HTTP request, which is the hottest
-//! loop in the roll-out scenario.
+//! loop in the roll-out scenario. Map and arena grow as keys arrive, so a
+//! cache costs memory for the keys it holds, never for its bound: a
+//! platform deploys thousands of servers whose caches mostly stay empty.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -17,8 +19,8 @@ struct Node<K> {
     next: usize,
 }
 
-/// A least-recently-used set with fixed capacity (values are unit; the CDN
-/// cache only needs membership + recency).
+/// A least-recently-used set holding at most `capacity` keys (values are
+/// unit; the CDN cache only needs membership + recency).
 #[derive(Debug, Clone)]
 pub struct LruSet<K: Eq + Hash + Clone> {
     map: HashMap<K, usize>,
@@ -30,11 +32,12 @@ pub struct LruSet<K: Eq + Hash + Clone> {
 }
 
 impl<K: Eq + Hash + Clone> LruSet<K> {
-    /// Creates a cache holding at most `capacity` keys. Zero capacity is
-    /// permitted and caches nothing.
+    /// Creates a cache holding at most `capacity` keys; nothing is
+    /// allocated until the first insert. Zero capacity is permitted and
+    /// caches nothing.
     pub fn new(capacity: usize) -> Self {
         LruSet {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -291,20 +294,29 @@ mod prop_tests {
 
     proptest! {
         /// The arena LRU behaves identically to a naive reference model
-        /// under arbitrary interleavings of inserts and touches.
+        /// under arbitrary interleavings of inserts, touches, membership
+        /// tests and clears: same hits, same evicted keys, same recency
+        /// order. Keys are drawn from a domain a little wider than the
+        /// largest capacity, so the growing map and arena are driven both
+        /// up to their bound and through eviction.
         #[test]
         fn matches_reference_model(
-            cap in 0usize..8,
-            ops in proptest::collection::vec((any::<bool>(), any::<u8>()), 0..200),
+            cap in 0usize..=48,
+            ops in proptest::collection::vec((0u8..16, 0u8..64), 0..400),
         ) {
             let mut lru = LruSet::new(cap);
             let mut model = Model { order: VecDeque::new(), cap };
-            for (is_insert, key) in ops {
-                if is_insert {
-                    prop_assert_eq!(lru.insert(key), model.insert(key));
-                } else {
-                    prop_assert_eq!(lru.touch(&key), model.touch(key));
+            for (op, key) in ops {
+                match op {
+                    0 => {
+                        lru.clear();
+                        model.order.clear();
+                    }
+                    1..=3 => prop_assert_eq!(lru.contains(&key), model.order.contains(&key)),
+                    4..=7 => prop_assert_eq!(lru.touch(&key), model.touch(key)),
+                    _ => prop_assert_eq!(lru.insert(key), model.insert(key)),
                 }
+                prop_assert_eq!(lru.len(), model.order.len());
                 prop_assert_eq!(lru.keys_mru(), model.order.iter().copied().collect::<Vec<_>>());
             }
         }

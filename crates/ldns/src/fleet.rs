@@ -143,6 +143,9 @@ pub struct FleetReport {
     pub expired_churn: u64,
     /// Live cache entries across the fleet at report time.
     pub cache_entries: usize,
+    /// Heap bytes of the fleet's resolver-cache tables at report time
+    /// ([`crate::ResolverCache::footprint_bytes`], summed).
+    pub cache_bytes: usize,
     /// Cache hits split by the announced ECS scope length of the entry
     /// that served them (index 0: global/scope-0 entries).
     pub hits_by_scope: [u64; 33],
@@ -365,6 +368,7 @@ impl ResolverFleet {
             negative_answers: 0,
             expired_churn: 0,
             cache_entries: 0,
+            cache_bytes: 0,
             hits_by_scope: [0; 33],
         };
         for l in &self.resolvers {
@@ -380,6 +384,7 @@ impl ResolverFleet {
             let c: LdnsCacheStats = l.cache().stats();
             r.expired_churn += c.expirations;
             r.cache_entries += l.cache().len();
+            r.cache_bytes += l.cache().footprint_bytes();
             for (i, h) in c.hits_by_scope.iter().enumerate() {
                 r.hits_by_scope[i] += h;
             }

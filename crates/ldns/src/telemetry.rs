@@ -28,6 +28,7 @@ pub struct FleetMetrics {
     expirations: Arc<Counter>,
     hits_by_scope: Vec<Arc<Counter>>,
     cache_entries: Arc<Gauge>,
+    cache_bytes: Arc<Gauge>,
     amplification: Arc<Gauge>,
     hit_ratio: Arc<Gauge>,
     prev: FleetReport,
@@ -98,6 +99,11 @@ impl FleetMetrics {
                 "Live resolver-cache entries across the fleet",
                 &[],
             ),
+            cache_bytes: reg.gauge(
+                "eum_ldns_cache_bytes",
+                "Heap bytes of the resolver-cache tables across the fleet",
+                &[],
+            ),
             amplification: reg.gauge(
                 "eum_ldns_amplification",
                 "Measured upstream queries per downstream query",
@@ -120,6 +126,7 @@ impl FleetMetrics {
                 negative_answers: 0,
                 expired_churn: 0,
                 cache_entries: 0,
+                cache_bytes: 0,
                 hits_by_scope: [0; 33],
             },
         }
@@ -164,6 +171,7 @@ impl FleetMetrics {
             c.add(report.hits_by_scope[i].saturating_sub(p.hits_by_scope[i]));
         }
         self.cache_entries.set(report.cache_entries as f64);
+        self.cache_bytes.set(report.cache_bytes as f64);
         self.amplification.set(report.amplification());
         self.hit_ratio.set(report.hit_ratio());
         self.prev = report.clone();
@@ -187,6 +195,7 @@ mod tests {
             negative_answers: 3,
             expired_churn: 5,
             cache_entries: 17,
+            cache_bytes: 2_176,
             hits_by_scope: [0; 33],
         };
         r.hits_by_scope[0] = hits / 2;
@@ -206,6 +215,7 @@ mod tests {
         assert!(text.contains("eum_ldns_downstream_cache_hits_total 90"));
         // Gauges snap to the latest report, not a sum.
         assert!(text.contains("eum_ldns_cache_entries 17"));
+        assert!(text.contains("eum_ldns_cache_bytes 2176"));
     }
 
     #[test]

@@ -384,11 +384,21 @@ impl Model {
     }
 }
 
-const NAMES: [&str; 4] = [
+/// Short names the slot holds inline, and longer ones it spills out of
+/// line: one a single octet past the 22-octet inline form, one of the
+/// full 255 wire octets RFC 1035 allows.
+const NAMES: [&str; 6] = [
     "e0.cdn.example",
     "e1.cdn.example",
     "a-rather-longer-customer-hostname.cdn.example",
     "nx.cdn.example",
+    "abcdefghij.cdn.example",
+    concat!(
+        "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa.",
+        "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb.",
+        "ccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccccc.",
+        "ddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddd",
+    ),
 ];
 
 const CLIENTS: [Ipv4Addr; 4] = [
@@ -408,7 +418,7 @@ proptest! {
     #[test]
     fn slab_cache_matches_the_naive_model(
         steps in proptest::collection::vec(
-            (0u8..8, 0usize..4, 0u8..12, 0usize..4, 0u32..6, 0u64..1500),
+            (0u8..8, 0usize..NAMES.len(), 0u8..12, 0usize..4, 0u32..6, 0u64..1500),
             1..160,
         ),
     ) {

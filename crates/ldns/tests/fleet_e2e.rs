@@ -212,6 +212,24 @@ fn fleet_reports_and_exports_tcp_retries() {
         )),
         "exported counter must match the fleet report"
     );
+
+    // The footprint gauge is the report's number, and it pays per live
+    // entry: past each resolver's fixed wheel tables (320 slot vectors),
+    // an entry costs its 128-byte slab slot, its index bucket and its
+    // wheel handle, with the tables' growth slack on top.
+    assert!(
+        text.contains(&format!("eum_ldns_cache_bytes {}", report.cache_bytes)),
+        "exported gauge must match the fleet report"
+    );
+    let wheel_tables = report.resolvers * 320 * std::mem::size_of::<Vec<u64>>();
+    let per_entry = (report.cache_bytes - wheel_tables) / report.cache_entries.max(1);
+    assert!(report.cache_entries > 0);
+    assert!(
+        per_entry <= 320,
+        "{per_entry} bytes per live resolver-cache entry ({} bytes, {} entries)",
+        report.cache_bytes,
+        report.cache_entries
+    );
 }
 
 #[test]
