@@ -123,6 +123,11 @@ impl PreferenceTable {
         self.cluster.chunks_mut(d).zip(self.score.chunks_mut(d))
     }
 
+    /// The stored depth and both flat arrays, unit-major.
+    pub(crate) fn flat_mut(&mut self) -> (usize, &mut [u16], &mut [f32]) {
+        (self.depth, &mut self.cluster, &mut self.score)
+    }
+
     /// A unit's stored clusters, best first.
     pub fn row(&self, unit: UnitId) -> &[u16] {
         &self.cluster[unit.index() * self.depth..(unit.index() + 1) * self.depth]

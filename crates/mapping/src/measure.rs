@@ -43,7 +43,7 @@ impl TargetId {
 }
 
 /// The selected ping targets plus the block → target proxy assignment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PingTargets {
     /// Target endpoints (representative blocks).
     pub targets: Vec<Endpoint>,
@@ -61,40 +61,45 @@ impl PingTargets {
     /// `cover_radius_miles` controls density: a block closer than this to
     /// an existing target is covered rather than becoming a new target.
     pub fn select(net: &Internet, max_targets: usize, cover_radius_miles: f64) -> PingTargets {
+        let mut t = PingTargets::default();
+        t.reselect(net, max_targets, cover_radius_miles);
+        t
+    }
+
+    /// [`select`](Self::select), written over this selection's buffers.
+    pub(crate) fn reselect(&mut self, net: &Internet, max_targets: usize, cover_miles: f64) {
         assert!(max_targets > 0, "need at least one ping target");
         // Demand-descending walk.
         let mut order: Vec<&eum_netmodel::ClientBlock> = net.blocks.iter().collect();
         order.sort_by(|a, b| b.demand.partial_cmp(&a.demand).expect("finite demand"));
 
-        let mut targets: Vec<Endpoint> = Vec::new();
-        let mut target_blocks: Vec<BlockId> = Vec::new();
-        let mut index = TargetIndex::default();
+        self.targets.clear();
+        self.target_blocks.clear();
+        self.index.points.clear();
+        self.index.units.clear();
         for b in &order {
-            if targets.len() >= max_targets {
+            if self.targets.len() >= max_targets {
                 break;
             }
-            if !index.covers(&b.loc, cover_radius_miles) {
-                targets.push(b.endpoint());
-                target_blocks.push(b.id);
-                index.push(b.loc);
+            if !self.index.covers(&b.loc, cover_miles) {
+                self.targets.push(b.endpoint());
+                self.target_blocks.push(b.id);
+                self.index.push(b.loc);
             }
         }
-        if targets.is_empty() {
+        if self.targets.is_empty() {
             // Degenerate universe: take the top block regardless.
             let b = order.first().expect("non-empty Internet");
-            targets.push(b.endpoint());
-            target_blocks.push(b.id);
-            index.push(b.loc);
+            self.targets.push(b.endpoint());
+            self.target_blocks.push(b.id);
+            self.index.push(b.loc);
         }
 
         // Nearest-target assignment for every block.
-        let block_to_target = net.blocks.iter().map(|b| index.nearest(&b.loc)).collect();
-        PingTargets {
-            targets,
-            target_blocks,
-            block_to_target,
-            index,
-        }
+        self.block_to_target.clear();
+        let index = &self.index;
+        self.block_to_target
+            .extend(net.blocks.iter().map(|b| index.nearest(&b.loc)));
     }
 
     /// Number of targets.
@@ -193,7 +198,7 @@ impl TargetIndex {
 }
 
 /// A deployments × targets matrix of ping latencies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PingMatrix {
     n_targets: usize,
     /// Row-major: `rtt[deploy * n_targets + target]`.
@@ -203,14 +208,21 @@ pub struct PingMatrix {
 impl PingMatrix {
     /// Measures pings from every deployment endpoint to every target.
     pub fn measure(net: &Internet, deployments: &[Endpoint], targets: &PingTargets) -> PingMatrix {
-        let n_targets = targets.len();
-        let mut rtt = Vec::with_capacity(deployments.len() * n_targets);
-        for d in deployments {
+        let mut m = PingMatrix::default();
+        m.remeasure(net, deployments, targets);
+        m
+    }
+
+    /// [`measure`](Self::measure), written over this matrix's buffer.
+    pub(crate) fn remeasure(&mut self, net: &Internet, eps: &[Endpoint], targets: &PingTargets) {
+        self.n_targets = targets.len();
+        self.rtt.clear();
+        self.rtt.reserve(eps.len() * self.n_targets);
+        for d in eps {
             for t in &targets.targets {
-                rtt.push(net.latency.ping_ms(d, t) as f32);
+                self.rtt.push(net.latency.ping_ms(d, t) as f32);
             }
         }
-        PingMatrix { n_targets, rtt }
     }
 
     /// Number of deployment rows.

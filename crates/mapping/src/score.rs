@@ -76,10 +76,11 @@ impl ScoringWeights {
 }
 
 /// How a unit's network position is represented for scoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScoreBasis {
     /// Score latency from the unit's own vantage (NS-based: the LDNS
     /// endpoint; end-user: the client block centroid) via its ping target.
+    #[default]
     UnitVantage,
     /// Score the demand-weighted latency over the unit's member client
     /// blocks — Client-Aware NS-based mapping (§6, "CANS").
@@ -208,18 +209,24 @@ pub(crate) struct ClassTables {
 }
 
 /// Scores every unit for every class in `weights` — see
-/// [`rescore_classes`], which this runs over all rows of fresh tables.
+/// [`rescore_classes`], which this runs over all rows — into the
+/// `recycled` tables (by class) whose shape fits, else into fresh ones.
 pub(crate) fn build_classes(
     inputs: &ScoreInputs,
     weights: &[ScoringWeights],
     workers: usize,
+    recycled: Vec<ClassTables>,
 ) -> Vec<ClassTables> {
-    let (n_units, n_clusters) = (inputs.units.len(), inputs.clusters.len());
+    let (n_units, n) = (inputs.units.len(), inputs.clusters.len());
+    let mut recycled = recycled.into_iter().map(|t| t.prefs);
     let mut tables: Vec<ClassTables> = weights
         .iter()
         .map(|w| ClassTables {
             weights: *w,
-            prefs: PreferenceTable::zeroed(n_units, n_clusters, RANK_DEPTH.min(n_clusters)),
+            prefs: recycled
+                .next()
+                .filter(|p| p.len() == n_units && p.clusters() == n)
+                .unwrap_or_else(|| PreferenceTable::zeroed(n_units, n, RANK_DEPTH.min(n))),
         })
         .collect();
     let all: Vec<UnitId> = (0..n_units).map(|u| UnitId(u as u32)).collect();
@@ -227,19 +234,20 @@ pub(crate) fn build_classes(
     tables
 }
 
-/// One class's stored `(clusters, scores)` rows for one worker's units,
-/// in unit order.
-type RowSlices<'t> = Vec<(&'t mut [u16], &'t mut [f32])>;
+/// One class's weights, stored depth and flat `(clusters, scores)` run
+/// from one worker's first row through its last.
+type ClassRun<'t> = (ScoringWeights, usize, &'t mut [u16], &'t mut [f32]);
 
 /// Re-scores `rows` (ascending, no repeats) of every class's tables in
 /// place: the incremental rebuild's rescore pass, and the whole of a full
 /// build.
 ///
 /// The rows are split into contiguous runs across `workers` threads.
-/// Every worker is handed its own rows' slices of every class's ranking
-/// table and writes them directly, so the result cannot depend on
-/// scheduling, and no buffer is merged afterwards. `workers <= 1` runs
-/// inline with no thread spawns.
+/// Every worker is handed, per class, the contiguous run of the table's
+/// two flat arrays from its first row through its last, and writes its
+/// rows there directly, so the result cannot depend on scheduling, and no
+/// buffer is merged afterwards. `workers <= 1` runs inline with no thread
+/// spawns.
 pub(crate) fn rescore_classes(
     inputs: &ScoreInputs,
     tables: &mut [ClassTables],
@@ -258,34 +266,33 @@ pub(crate) fn rescore_classes(
     if n == 0 || rows.is_empty() {
         return;
     }
+    let last = rows[rows.len() - 1].index();
+    assert!(tables.iter().all(|t| last < t.prefs.len()), "row range");
     let per = rows.len().div_ceil(workers.max(1));
-    let mut shares: Vec<(&[UnitId], Vec<RowSlices>)> =
-        rows.chunks(per).map(|r| (r, Vec::new())).collect();
-    let weights: Vec<ScoringWeights> = tables.iter().map(|t| t.weights).collect();
+    let mut shares: Vec<_> = rows.chunks(per).map(|r| (r, Vec::new())).collect();
     for t in tables.iter_mut() {
-        let mut pending = rows.iter().enumerate().peekable();
-        for (u, pair) in t.prefs.rows_mut().enumerate() {
-            let Some((j, _)) = pending.next_if(|(_, r)| r.index() == u) else {
-                continue;
-            };
-            let share = &mut shares[j / per].1;
-            if j % per == 0 {
-                share.push(Vec::new());
-            }
-            share.last_mut().expect("pushed above").push(pair);
+        // Unit `at` starts both remaining arrays.
+        let (depth, mut cluster, mut score) = t.prefs.flat_mut();
+        let mut at = 0;
+        for (r, out) in shares.iter_mut() {
+            let (lo, hi) = (r[0].index(), r[r.len() - 1].index() + 1);
+            let (head, tail) = std::mem::take(&mut cluster).split_at_mut((hi - at) * depth);
+            let (head_s, tail_s) = std::mem::take(&mut score).split_at_mut((hi - at) * depth);
+            let skip = (lo - at) * depth;
+            out.push((t.weights, depth, &mut head[skip..], &mut head_s[skip..]));
+            (cluster, score, at) = (tail, tail_s, hi);
         }
-        assert!(pending.next().is_none(), "row out of range");
     }
-    let weights = &weights;
-    let run = |(units, mut out): (&[UnitId], Vec<RowSlices>)| {
+    let run = |(units, mut out): (&[UnitId], Vec<ClassRun>)| {
         let mut scratch = Scratch::default();
         let mut row = vec![0f32; n];
-        for (j, u) in units.iter().enumerate() {
+        for u in units {
             inputs.measure(u.index(), &mut scratch);
-            for (w, class) in weights.iter().zip(out.iter_mut()) {
-                let (clusters, ranked) = &mut class[j];
+            let i = u.index() - units[0].index();
+            for (w, d, cs, ss) in out.iter_mut() {
                 inputs.weigh(w, &scratch, &mut row);
-                sort_row(&row, clusters, ranked, &mut scratch.keys);
+                let r = i * *d..(i + 1) * *d;
+                sort_row(&row, &mut cs[r.clone()], &mut ss[r], &mut scratch.keys);
             }
         }
     };
@@ -691,23 +698,36 @@ mod tests {
                 }
             };
             // The kernel inline, then chunked across workers.
-            expect(&build_classes(&inputs, &weights, 1), "one worker");
-            let mut par = build_classes(&inputs, &weights, 4);
+            expect(
+                &build_classes(&inputs, &weights, 1, Vec::new()),
+                "one worker",
+            );
+            let mut par = build_classes(&inputs, &weights, 4, Vec::new());
             expect(&par, "four workers");
-            // Re-scoring a scattered subset (in parallel) over unchanged
-            // inputs, after clobbering it, must reproduce the same rows.
-            let rows: Vec<UnitId> = (0..units.len())
+            // Re-scoring a scattered subset (in parallel, not starting at
+            // unit 0) over unchanged inputs, after clobbering it, must
+            // reproduce the same rows.
+            let rows: Vec<UnitId> = (1..units.len())
                 .step_by(3)
                 .map(|u| UnitId(u as u32))
                 .collect();
             for t in &mut par {
-                for (clusters, ranked) in t.prefs.rows_mut().step_by(3) {
+                for (clusters, ranked) in t.prefs.rows_mut().skip(1).step_by(3) {
                     clusters.fill(0);
                     ranked.fill(-1.0);
                 }
             }
             rescore_classes(&inputs, &mut par, &rows, 3);
             expect(&par, "rescore");
+            // A build into clobbered tables of the same shape rewrites
+            // every stored rank.
+            for t in &mut par {
+                for (clusters, ranked) in t.prefs.rows_mut() {
+                    clusters.fill(7);
+                    ranked.fill(-1.0);
+                }
+            }
+            expect(&build_classes(&inputs, &weights, 2, par), "recycled");
         }
     }
 }

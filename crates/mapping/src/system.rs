@@ -249,6 +249,7 @@ fn empty_candidates() -> Candidates {
 /// (each unit's best clusters with their scores), and the previous
 /// solve's inputs (for change detection). Control-plane only — never
 /// published to shards.
+#[derive(Default)]
 struct SolverState {
     targets: PingTargets,
     matrix: PingMatrix,
@@ -401,7 +402,7 @@ impl MappingSystem {
             asn: eum_cdn::CDN_ASN,
         });
         let top_ip = Ipv4Addr::from(top_prefix.addr() | 2);
-        let computed = Self::compute(net, cdn, &cfg);
+        let computed = Self::compute(net, cdn, &cfg, &[], None);
         MappingSystem {
             cfg,
             whoami: suffix.child("whoami").expect("valid literal label"),
@@ -456,10 +457,14 @@ impl MappingSystem {
     /// paper's periodic map refresh: liveness, capacity, and deployment
     /// changes feed back into scoring and load balancing while runtime
     /// counters and the name-server identity are preserved.
+    ///
+    /// Every unit is rescored into the solver state this generation owns
+    /// (the tables whose shape fits, the buffers, the rings of unchanged
+    /// server sets), bit-identical to a fresh [`build`](Self::build).
     pub fn rebuild(&mut self, net: &Internet, cdn: &CdnPlatform) {
         assert!(!cdn.clusters.is_empty(), "cannot map onto an empty CDN");
         let start = Instant::now();
-        let computed = Self::compute(net, cdn, &self.cfg);
+        let computed = Self::compute(net, cdn, &self.cfg, &self.clusters, self.solver.take());
         self.clusters = computed.clusters;
         self.ns_by_ip = computed.ns_by_ip;
         self.ns_units = computed.ns_units;
@@ -783,17 +788,32 @@ impl MappingSystem {
 
     /// Runs measurement → scoring → load balancing and returns the
     /// computed tables plus the solver cache the incremental path reuses.
-    fn compute(net: &Internet, cdn: &CdnPlatform, cfg: &MappingConfig) -> ComputedMap {
+    /// `prev` and `recycled`, the previous generation's cluster views and
+    /// solver state, are reused as [`MappingSystem::rebuild`] says.
+    fn compute(
+        net: &Internet,
+        cdn: &CdnPlatform,
+        cfg: &MappingConfig,
+        prev: &[ClusterView],
+        recycled: Option<Box<SolverState>>,
+    ) -> ComputedMap {
         // Cluster views with local-LB rings.
         let mut clusters = Vec::with_capacity(cdn.clusters.len());
         let mut ns_by_ip = HashMap::new();
-        for c in &cdn.clusters {
+        for (i, c) in cdn.clusters.iter().enumerate() {
             let ns_ip = Ipv4Addr::from(c.prefix.addr() | 2);
             let server_ids: Vec<ServerId> = c.server_ids().collect();
             let servers: Vec<(ServerId, Ipv4Addr, bool)> = server_ids
                 .iter()
                 .map(|s| (*s, cdn.server(*s).ip, cdn.server(*s).alive))
                 .collect();
+            let ring = match prev.get(i) {
+                // A ring is a function of the server ids alone.
+                Some(v) if v.servers.iter().map(|s| s.0).eq(server_ids.iter().copied()) => {
+                    v.ring.clone()
+                }
+                _ => Arc::new(ConsistentRing::new(&server_ids, cfg.ring_vnodes)),
+            };
             ns_by_ip.insert(ns_ip, clusters.len());
             clusters.push(ClusterView {
                 id: c.id,
@@ -803,22 +823,28 @@ impl MappingSystem {
                 alive: c.alive,
                 overloaded: false,
                 servers,
-                ring: Arc::new(ConsistentRing::new(&server_ids, cfg.ring_vnodes)),
+                ring,
             });
         }
 
         // Measurement component.
+        let mut s = recycled.unwrap_or_default();
         let mut clock = PhaseClock::default();
-        let targets = clock.time(PHASE_TARGETS, || {
-            PingTargets::select(net, cfg.max_ping_targets, cfg.target_cover_miles)
+        clock.time(PHASE_TARGETS, || {
+            s.targets
+                .reselect(net, cfg.max_ping_targets, cfg.target_cover_miles)
         });
-        let cluster_eps: Vec<Endpoint> = clusters.iter().map(|c| c.endpoint).collect();
-        let matrix = clock.time(PHASE_MATRIX, || {
-            PingMatrix::measure(net, &cluster_eps, &targets)
+        s.cluster_eps.clear();
+        s.cluster_eps.extend(clusters.iter().map(|c| c.endpoint));
+        clock.time(PHASE_MATRIX, || {
+            s.matrix.remeasure(net, &s.cluster_eps, &s.targets)
         });
-        let capacity: Vec<f64> = clusters.iter().map(|c| c.capacity).collect();
-        let usable: Vec<bool> = clusters.iter().map(|c| c.alive).collect();
+        s.capacity.clear();
+        s.capacity.extend(clusters.iter().map(|c| c.capacity));
+        s.usable.clear();
+        s.usable.extend(clusters.iter().map(|c| c.alive));
         let workers = cfg.worker_count();
+        let (ns_old, eu_old) = (std::mem::take(&mut s.ns), std::mem::take(&mut s.eu));
 
         // Per-class ranking tables from one measurement pass, then each
         // class's solve and candidate rows. One class with
@@ -830,33 +856,35 @@ impl MappingSystem {
         } else {
             vec![cfg.weights]
         };
-        let build_tables = |units: &MapUnits,
-                            vantages: &[Endpoint],
-                            basis: ScoreBasis,
-                            clock: &mut PhaseClock,
-                            spills: &mut Spills|
+        let mut spills = Spills::default();
+        let mut build_tables = |units: &MapUnits,
+                                vantages: &[Endpoint],
+                                basis: ScoreBasis,
+                                recycled: Vec<ClassTables>|
          -> (Vec<ClassTables>, Candidates) {
             let inputs = ScoreInputs {
                 net,
                 units,
                 vantages,
-                clusters: &cluster_eps,
-                targets: &targets,
-                matrix: &matrix,
+                clusters: &s.cluster_eps,
+                targets: &s.targets,
+                matrix: &s.matrix,
                 basis,
                 member_cap: cfg.member_cap,
             };
-            let tables = clock.time(PHASE_SCORE, || build_classes(&inputs, &weights, workers));
+            let tables = clock.time(PHASE_SCORE, || {
+                build_classes(&inputs, &weights, workers, recycled)
+            });
             let candidates = clock.time(PHASE_SOLVE, || {
                 solve_candidates(
                     cfg,
                     units,
                     &inputs,
                     &tables,
-                    &capacity,
-                    &usable,
+                    &s.capacity,
+                    &s.usable,
                     &empty_candidates(),
-                    spills,
+                    &mut spills,
                 )
             });
             (tables, candidates)
@@ -864,21 +892,18 @@ impl MappingSystem {
 
         // NS-side units (always present: non-ECS queries need them).
         let ns_units = Arc::new(MapUnits::ldns_units(net));
-        let ns_vantages: Vec<Endpoint> = ns_units
-            .units
-            .iter()
-            .map(|u| match u.key {
+        s.ns_vantages.clear();
+        s.ns_vantages
+            .extend(ns_units.units.iter().map(|u| match u.key {
                 UnitKey::Ldns(r) => net.resolver(r).endpoint(),
                 UnitKey::Block(_) => unreachable!("ldns_units yields Ldns keys"),
-            })
-            .collect();
-        let ns_basis = match cfg.policy {
+            }));
+        s.ns_basis = match cfg.policy {
             MappingPolicy::ClientAwareNs => ScoreBasis::MemberClients,
             _ => ScoreBasis::UnitVantage,
         };
-        let mut spills = Spills::default();
         let (ns_tables, ns_candidates) =
-            build_tables(&ns_units, &ns_vantages, ns_basis, &mut clock, &mut spills);
+            build_tables(&ns_units, &s.ns_vantages, s.ns_basis, ns_old);
         let ldns_by_ip: HashMap<Ipv4Addr, UnitId> = ns_units
             .units
             .iter()
@@ -890,47 +915,30 @@ impl MappingSystem {
             .collect();
 
         // End-user units when the policy calls for them.
-        let (eu_units, eu_tables, eu_candidates, eu_vantages) = match cfg.policy {
+        s.eu_vantages.clear();
+        let (eu_units, eu_tables, eu_candidates) = match cfg.policy {
             MappingPolicy::EndUser {
                 prefix_len,
                 bgp_aggregate,
             } => {
                 let units = Arc::new(MapUnits::block_units(net, prefix_len, bgp_aggregate));
-                let vantages: Vec<Endpoint> = units
-                    .units
-                    .iter()
-                    .map(|u| eu_unit_vantage(net, u))
-                    .collect();
-                let (tables, candidates) = build_tables(
-                    &units,
-                    &vantages,
-                    ScoreBasis::UnitVantage,
-                    &mut clock,
-                    &mut spills,
-                );
-                (Some(units), tables, candidates, vantages)
+                s.eu_vantages
+                    .extend(units.units.iter().map(|u| eu_unit_vantage(net, u)));
+                let basis = ScoreBasis::UnitVantage;
+                let (tables, candidates) = build_tables(&units, &s.eu_vantages, basis, eu_old);
+                (Some(units), tables, candidates)
             }
-            _ => (None, Vec::new(), empty_candidates(), Vec::new()),
+            _ => (None, Vec::new(), empty_candidates()),
         };
 
-        let mut target_block_idx: Vec<usize> =
-            targets.target_blocks.iter().map(|b| b.index()).collect();
-        target_block_idx.sort_unstable();
-        let solver = Box::new(SolverState {
-            targets,
-            matrix,
-            cluster_eps,
-            capacity,
-            usable,
-            ns_basis,
-            ns_vantages,
-            eu_vantages,
-            ns: ns_tables,
-            eu: eu_tables,
-            target_block_idx,
-            n_blocks: net.blocks.len(),
-            n_resolvers: net.resolvers.len(),
-        });
+        s.ns = ns_tables;
+        s.eu = eu_tables;
+        s.target_block_idx.clear();
+        s.target_block_idx
+            .extend(s.targets.target_blocks.iter().map(|b| b.index()));
+        s.target_block_idx.sort_unstable();
+        s.n_blocks = net.blocks.len();
+        s.n_resolvers = net.resolvers.len();
 
         ComputedMap {
             clusters,
@@ -940,7 +948,7 @@ impl MappingSystem {
             ldns_by_ip: Arc::new(ldns_by_ip),
             eu_units,
             eu_candidates,
-            solver,
+            solver: s,
             phase_ns: clock.0,
             spills,
         }

@@ -118,8 +118,10 @@ impl MapUnits {
         let mut keys: Vec<ResolverId> = grouped.keys().copied().collect();
         keys.sort();
         let mut out = MapUnits::default();
+        out.units.reserve(keys.len());
+        out.by_ldns.reserve(keys.len());
         for r in keys {
-            let members = &grouped[&r];
+            let members = grouped.remove(&r).expect("key present");
             let info = summarize(net, UnitKey::Ldns(r), members.iter().map(|(b, d)| (*b, *d)));
             let id = UnitId(out.units.len() as u32);
             out.by_ldns.insert(r, id);
@@ -189,15 +191,18 @@ impl MapUnits {
         let mut keys: Vec<Prefix> = grouped.keys().copied().collect();
         keys.sort();
         let mut out = MapUnits::default();
+        out.units.reserve(keys.len());
+        out.by_member24
+            .reserve(grouped.values().map(Vec::len).sum());
         for key in keys {
-            let members = &grouped[&key];
+            let members = grouped.remove(&key).expect("key present");
             let info = summarize(
                 net,
                 UnitKey::Block(key),
                 members.iter().map(|(b, d)| (*b, *d)),
             );
             let id = UnitId(out.units.len() as u32);
-            for (b, _) in members {
+            for (b, _) in &members {
                 out.by_member24.insert(net.block(*b).prefix, id);
             }
             out.units.push(info);

@@ -294,3 +294,110 @@ fn seeded_churn_sequences_match_full_rebuild_and_deltas_cover_changes() {
         );
     }
 }
+
+// ---------------------------------------------------------- full rebuild
+
+/// A from-scratch map of the same world, built on a copy of `net` (a build
+/// allocates the top-level name server's block), with `churn_world`'s
+/// catalog and configuration.
+fn fresh_build(seed: u64, net: &Internet, cdn: &CdnPlatform) -> MappingSystem {
+    let mut net = net.clone();
+    MappingSystem::build(
+        &mut net,
+        cdn,
+        &ContentCatalog::generate(&CatalogConfig::tiny(seed)),
+        "cdn.example".parse().unwrap(),
+        MappingConfig {
+            policy: MappingPolicy::end_user_default(),
+            max_ping_targets: 40,
+            ..MappingConfig::default()
+        },
+    )
+}
+
+/// Every published candidate row, per class, for every block and
+/// resolver.
+fn candidate_rows(net: &Internet, map: &MappingSystem) -> Vec<Option<Vec<eum_cdn::ClusterId>>> {
+    let mut out = Vec::new();
+    for class in TrafficClass::ALL {
+        for b in &net.blocks {
+            out.push(map.candidate_clusters_for_block(b.prefix, class));
+        }
+        for r in &net.resolvers {
+            out.push(map.candidate_clusters_for_ldns(r.ip, class));
+        }
+    }
+    out
+}
+
+/// A full rebuild writes into the ranking tables and buffers the previous
+/// generation owns. After seeded incremental churn it must still give
+/// exactly the rows a fresh build gives, and a second rebuild straight
+/// after must give them again.
+#[test]
+fn full_rebuild_after_churn_matches_a_fresh_build() {
+    for seed in [0xC0FFEE_u64, 0x5EED5] {
+        let (mut net, mut cdn, mut map) = churn_world(seed);
+        let mut rng = seed | 1;
+        for _ in 0..6 {
+            let mut hints = RescoreHints::default();
+            let i = (next(&mut rng) as usize) % cdn.clusters.len();
+            match next(&mut rng) % 3 {
+                0 => {
+                    let alive = cdn.clusters[i].alive;
+                    cdn.set_cluster_alive(cdn.clusters[i].id, !alive);
+                }
+                1 => cdn.clusters[i].capacity = net.total_demand() * 0.3,
+                _ => {
+                    let b = (next(&mut rng) as usize) % net.blocks.len();
+                    net.blocks[b].access_ms *= 1.5;
+                    let client = net.blocks[b].client_ip();
+                    hints
+                        .eu
+                        .extend(map.eu_units().and_then(|u| u.unit_for_client(client)));
+                    hints
+                        .ns
+                        .extend(map.ns_units().unit_for_block24(net.blocks[b].prefix));
+                }
+            }
+            map.rebuild_incremental(&net, &cdn, &hints);
+        }
+        map.rebuild(&net, &cdn);
+        let fresh = candidate_rows(&net, &fresh_build(seed, &net, &cdn));
+        assert_eq!(
+            candidate_rows(&net, &map),
+            fresh,
+            "seed {seed:#x}: rebuild after churn"
+        );
+        map.rebuild(&net, &cdn);
+        assert_eq!(
+            candidate_rows(&net, &map),
+            fresh,
+            "seed {seed:#x}: second rebuild"
+        );
+    }
+}
+
+/// Against a deployment with another cluster count the previous tables
+/// cannot be reused (12 clusters rank 12 deep, 20 rank 16 deep, 9 rank 9
+/// deep): the rebuild allocates fresh ones and still matches a fresh
+/// build.
+#[test]
+fn rebuild_onto_another_cluster_count_matches_a_fresh_build() {
+    let seed = 0xBEEF;
+    let (mut net, _, mut map) = churn_world(seed);
+    for sites in [20, 9] {
+        let cdn = CdnPlatform::deploy(
+            &mut net,
+            &deployment_universe(seed ^ sites as u64, sites),
+            &DeployConfig::default(),
+        );
+        assert_eq!(cdn.clusters.len(), sites);
+        map.rebuild(&net, &cdn);
+        assert_eq!(
+            candidate_rows(&net, &map),
+            candidate_rows(&net, &fresh_build(seed, &net, &cdn)),
+            "{sites} clusters"
+        );
+    }
+}
